@@ -41,7 +41,6 @@ from .model import (
     expected_utility,
     extract_nonstationary,
     extract_policy,
-    identity_observation_model,
     open_loop_expectation,
     plan_utility,
     point_mass,

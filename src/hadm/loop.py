@@ -166,16 +166,19 @@ def validate_ser(problem: Problem, ser: SerPolicy) -> SerReport:
 
     seen_cycles = set()
     # depth[state] = worst-case steps still needed to reach safety, or None
-    # while unresolved.
+    # once the state is known to fail.
     resolved = {}
+    expand = object()
 
-    def chase(s, path):
+    def settle(s, path):
+        """Depth of ``s`` if known without its successors, else ``expand``."""
         if s in ser.safe_set or problem.is_terminal(s):
             return 0
         if s in resolved:
             return resolved[s]
         if s in path:
-            cycle = tuple(sorted(set(path[path.index(s):])))
+            states = list(path)
+            cycle = tuple(sorted(set(states[states.index(s):])))
             if cycle not in seen_cycles:
                 seen_cycles.add(cycle)
                 labels = ", ".join(repr(problem.state_labels[x]) for x in cycle)
@@ -199,20 +202,42 @@ def validate_ser(problem: Problem, ser: SerPolicy) -> SerReport:
             )
             resolved[s] = None
             return None
-        worst = 0
-        for s2, p in problem.transitions[(s, a)]:
-            if p <= 0.0:
-                continue
-            d = chase(s2, path + [s])
-            if d is None:
-                resolved[s] = None
+        return expand
+
+    def chase(root):
+        """Depth-first walk of the response chains from ``root``.
+
+        ``path`` maps each state being expanded, root first, to
+        [its unvisited successors, worst depth so far]; an explicit stack
+        keeps long chains clear of the recursion limit.  A failing
+        successor fails every state on the path.
+        """
+        path = {}
+        s, d = root, settle(root, path)
+        while True:
+            if d is expand:
+                a = ser.actions[s]
+                path[s] = [iter([s2 for s2, p in problem.transitions[(s, a)]
+                                 if p > 0.0]), 0]
+            elif d is None:
+                resolved.update(dict.fromkeys(path))
                 return None
-            worst = max(worst, d)
-        resolved[s] = worst + 1
-        return worst + 1
+            elif not path:
+                return d
+            else:
+                frame = path[next(reversed(path))]
+                frame[1] = max(frame[1], d)
+            top = next(reversed(path))
+            pending, worst = path[top]
+            s = next(pending, None)
+            if s is None:  # every successor reached safety
+                del path[top]
+                d = resolved[top] = worst + 1
+            else:
+                d = settle(s, path)
 
     for s in sorted(members):
-        d = chase(s, [])
+        d = chase(s)
         if d is not None and d > bound:
             report.violations.append(
                 f"safety takes {d} steps from {problem.state_labels[s]!r}, "

@@ -49,7 +49,13 @@ class Problem:
     ``transition_rewards`` optionally adds a successor-dependent term,
     received (and discounted) on arrival; it is how scenario compilers
     attach branch-dependent energy costs and terminal bonuses.
-    Observation rows are keyed by (successor, action).  Instances are
+    Terminal states absorb: their one action self-loops with zero reward
+    and zero arrival reward, so every solver values them at 0.  A
+    ``horizon`` of H means H+1 actions, so its value is H+1 backups from
+    the all-zero table.
+    Observation rows are keyed by (successor, action); with
+    ``observations=None`` the problem is fully observable and the
+    observation index names the successor state.  Instances are
     validated on construction and immutable afterwards.
     """
 
@@ -96,6 +102,10 @@ class Problem:
                 r = self.rewards.get((s, a))
                 if r is None or not math.isfinite(r):
                     raise ModelError(f"reward undefined or non-finite for ({s}, {a})")
+                if s in self.terminal and (
+                    r != 0.0 or self.transition_rewards.get((s, a, s), 0.0) != 0.0
+                ):
+                    raise ModelError(f"terminal state {s} must absorb with zero reward")
         if self.observations is not None:
             if self.observation_labels is None:
                 raise ModelError("observations given without an observation alphabet")
@@ -265,26 +275,21 @@ def evaluate_policy(problem: Problem, pi, t: int) -> ValueTable:
     else:
         levels = [_normalize_level(problem, pi)] * (t + 1)
 
-    u = None
+    u = dict.fromkeys(range(problem.n_states), 0.0)
     for level in reversed(levels):
-        nxt = {}
-        for s in range(problem.n_states):
-            val = 0.0
-            for a, pa in level[s]:
-                problem.require_admissible(s, a)
-                if u is None:
-                    # Base of the recursion: the final action's reward,
-                    # including any successor-dependent component.
-                    q = problem.rewards[(s, a)] + problem.gamma * sum(
-                        p * problem.transition_rewards.get((s, a, s2), 0.0)
-                        for s2, p in problem.transitions[(s, a)]
-                    )
-                else:
-                    q = q_value(problem, s, a, u)
-                val += pa * q
-            nxt[s] = val
-        u = nxt
+        u = {
+            s: sum(pa * q_value(problem, s, a, u) for a, pa in level[s])
+            for s in range(problem.n_states)
+        }
     return ValueTable(values=u, iterations=t + 1, residual=0.0)
+
+
+def _sweep(problem: Problem, u: Mapping) -> dict:
+    """One Bellman backup of every state against the table ``u``."""
+    return {
+        s: max(q_value(problem, s, a, u) for a in problem.admissible[s])
+        for s in range(problem.n_states)
+    }
 
 
 def value_iterate(
@@ -298,6 +303,10 @@ def value_iterate(
     Stop either after a fixed number of sweeps (finite horizon) or when
     the sup-norm residual drops below ``epsilon`` (requires gamma < 1).
     Defaults to the problem horizon when set, otherwise epsilon = 1e-9.
+    A horizon-H value is H+1 backups from the all-zero table: the first
+    values the final action alone, and the H after it are the sweeps
+    counted in ``iterations`` and ``residual_history``.  With
+    ``return_stages`` the table after every backup is returned too.
     """
     if horizon is None and epsilon is None:
         if problem.horizon is not None:
@@ -307,57 +316,27 @@ def value_iterate(
     if epsilon is not None and horizon is None and problem.gamma >= 1.0:
         raise InvalidConfigError("residual stopping requires gamma < 1")
 
-    history = []
+    u = dict.fromkeys(range(problem.n_states), 0.0)
+    stages = []
     if horizon is not None:
-        u = {}
-        for s in range(problem.n_states):
-            u[s] = max(
-                problem.rewards[(s, a)]
-                + problem.gamma
-                * sum(
-                    p * problem.transition_rewards.get((s, a, s2), 0.0)
-                    for s2, p in problem.transitions[(s, a)]
-                )
-                for a in problem.admissible[s]
-            )
-        stages = [dict(u)]
-        sweeps = 0
-        residual = math.inf
-        for _ in range(horizon):
-            nxt = {
-                s: max(q_value(problem, s, a, u) for a in problem.admissible[s])
-                for s in range(problem.n_states)
-            }
-            residual = max(abs(nxt[s] - u[s]) for s in nxt)
-            history.append(residual)
-            u = nxt
-            sweeps += 1
-            if return_stages:
-                stages.append(dict(u))
-            elif residual == 0.0:
-                break  # exact fixed point; further sweeps are identity
-        table = ValueTable(u, iterations=sweeps, residual=residual,
-                           residual_history=history)
-        if return_stages:
-            return table, stages
-        return table
-
-    u = {s: 0.0 for s in range(problem.n_states)}
+        u = _sweep(problem, u)  # the final action alone
+        stages.append(u)
+    history = []
     residual = math.inf
-    sweeps = 0
-    while residual > epsilon:
-        nxt = {
-            s: max(q_value(problem, s, a, u) for a in problem.admissible[s])
-            for s in range(problem.n_states)
-        }
+    while (len(history) < horizon) if horizon is not None else (residual > epsilon):
+        nxt = _sweep(problem, u)
         residual = max(abs(nxt[s] - u[s]) for s in nxt)
         history.append(residual)
         u = nxt
-        sweeps += 1
-        if sweeps > 10**6:
+        if return_stages:
+            stages.append(u)
+        elif residual == 0.0:
+            break  # exact fixed point; further sweeps are identity
+        if horizon is None and len(history) > 10**6:
             raise InvalidConfigError("value iteration failed to converge")
-    return ValueTable(u, iterations=sweeps, residual=residual,
-                      residual_history=history)
+    table = ValueTable(u, iterations=len(history), residual=residual,
+                       residual_history=history)
+    return (table, stages) if return_stages else table
 
 
 def extract_policy(problem: Problem, u) -> Policy:
@@ -380,30 +359,18 @@ def extract_policy(problem: Problem, u) -> Policy:
 
 
 def extract_nonstationary(problem: Problem, stages) -> list:
-    """Greedy per-level policies from value-iteration stages (latest first)."""
-    out = []
-    for k in range(len(stages) - 1, 0, -1):
-        out.append(extract_policy(problem, stages[k - 1]))
-    # Base level: maximize the immediate (final) reward.
-    base = {}
-    for s in range(problem.n_states):
-        best, best_q = None, -math.inf
-        for a in problem.admissible[s]:
-            q = problem.rewards[(s, a)] + problem.gamma * sum(
-                p * problem.transition_rewards.get((s, a, s2), 0.0)
-                for s2, p in problem.transitions[(s, a)]
-            )
-            if q > best_q + 1e-12:
-                best, best_q = a, q
-        base[s] = best
-    out.append(Policy(actions=base))
-    return out
+    """Greedy per-level policies from value-iteration stages, first level
+    first; the last level acts against the all-zero table."""
+    zeros = dict.fromkeys(range(problem.n_states), 0.0)
+    return [extract_policy(problem, u) for u in reversed([zeros, *stages[:-1]])]
 
 
 def belief_update(problem: Problem, b: Belief, a: int, o: int) -> Belief:
-    """Bayes update: b'(s') proportional to O(s',a,o) * sum_s T(s,a,s') b(s)."""
-    if problem.observations is None:
-        raise InvalidConfigError("problem has no observation model")
+    """Bayes update: b'(s') proportional to O(s',a,o) * sum_s T(s,a,s') b(s).
+
+    Without an observation model ``o`` names the successor state, so the
+    result is the point mass on it.
+    """
     n = problem.n_states
     pred = [0.0] * n
     for s in range(n):
@@ -412,23 +379,29 @@ def belief_update(problem: Problem, b: Belief, a: int, o: int) -> Belief:
         problem.require_admissible(s, a)
         for s2, p in problem.transitions[(s, a)]:
             pred[s2] += p * b[s]
-    post = [0.0] * n
-    for s2 in range(n):
-        if pred[s2] <= 0.0:
-            continue
-        row = problem.observations.get((s2, a), ())
-        like = 0.0
-        for oi, p in row:
-            if oi == o:
-                like += p
-        post[s2] = like * pred[s2]
-    z = sum(post)
-    if z <= 0.0:
-        raise ImpossibleObservationError(
-            f"observation {problem.observation_labels[o]!r} has zero probability "
-            f"after action {problem.action_labels[a]!r}"
-        )
-    return tuple(x / z for x in post)
+    if problem.observations is None:
+        if 0 <= o < n and pred[o] > 0.0:
+            return point_mass(n, o)
+        labels = problem.state_labels
+    else:
+        post = [0.0] * n
+        for s2 in range(n):
+            if pred[s2] <= 0.0:
+                continue
+            like = 0.0
+            for oi, p in problem.observations.get((s2, a), ()):
+                if oi == o:
+                    like += p
+            post[s2] = like * pred[s2]
+        z = sum(post)
+        if z > 0.0:
+            return tuple(x / z for x in post)
+        labels = problem.observation_labels
+    label = labels[o] if 0 <= o < len(labels) else o
+    raise ImpossibleObservationError(
+        f"observation {label!r} has zero probability "
+        f"after action {problem.action_labels[a]!r}"
+    )
 
 
 def _behavior_next(problem, behavior, s, plan_pos):
@@ -466,15 +439,19 @@ def open_loop_expectation(problem: Problem, s0: int, behavior, horizon: int = No
         raise InvalidConfigError("open-loop enumeration needs a finite horizon")
 
     leaves = []
-
-    def recurse(s, depth, prob, total, disc, plan_pos):
+    # Depth-first with an explicit stack; children are pushed in reverse
+    # so that leaves come out in the order of a recursive walk.
+    stack = [(s0, 0, 1.0, 0.0, 1.0, 0)]
+    while stack:
+        s, depth, prob, total, disc, plan_pos = stack.pop()
         if problem.is_terminal(s) or depth > horizon:
             leaves.append((prob, total))
-            return
+            continue
         dist, nxt_pos = _behavior_next(problem, behavior, s, plan_pos)
         if dist is None:  # plan exhausted
             leaves.append((prob, total))
-            return
+            continue
+        children = []
         for a, pa in dist:
             if pa <= 0.0:
                 continue
@@ -484,16 +461,16 @@ def open_loop_expectation(problem: Problem, s0: int, behavior, horizon: int = No
                 if p <= 0.0:
                     continue
                 rho = problem.transition_rewards.get((s, a, s2), 0.0)
-                recurse(
+                children.append((
                     s2,
                     depth + 1,
                     prob * pa * p,
                     total + disc * (r + problem.gamma * rho),
                     disc * problem.gamma,
                     nxt_pos,
-                )
+                ))
+        stack.extend(reversed(children))
 
-    recurse(s0, 0, 1.0, 0.0, 1.0, 0)
     merged = {}
     for prob, total in leaves:
         key = round(total, 9)
@@ -507,38 +484,19 @@ def closed_loop_value(problem: Problem, s0: int, horizon: int = None) -> float:
     """Expected cumulative reward when actions condition on everything
     observed so far, by exhaustive expectimax.
 
-    Fully observable problems (no observation model) recurse over states
-    and the result equals value iteration at s0; otherwise the recursion
-    runs over beliefs reachable under the observation model.
+    Fully observable problems (no observation model) are solved by value
+    iteration; otherwise the recursion runs over beliefs reachable under
+    the observation model.
     """
     if horizon is None:
         horizon = problem.horizon
     if horizon is None:
         raise InvalidConfigError("closed-loop evaluation needs a finite horizon")
-    levels = horizon + 1
-
     if problem.observations is None:
-        memo = {}
-
-        def value(s, lv):
-            if lv == 0 or problem.is_terminal(s):
-                return 0.0
-            key = (s, lv)
-            if key in memo:
-                return memo[key]
-            best = -math.inf
-            for a in problem.admissible[s]:
-                acc = 0.0
-                for s2, p in problem.transitions[(s, a)]:
-                    rho = problem.transition_rewards.get((s, a, s2), 0.0)
-                    acc += p * (rho + value(s2, lv - 1))
-                best = max(best, problem.rewards[(s, a)] + problem.gamma * acc)
-            memo[key] = best
-            return best
-
-        return value(s0, levels)
+        return value_iterate(problem, horizon)[s0]
 
     memo = {}
+    zeros = dict.fromkeys(range(problem.n_states), 0.0)
 
     def belief_value(b, lv):
         support = [s for s in range(problem.n_states) if b[s] > PROB_TOL]
@@ -554,12 +512,8 @@ def closed_loop_value(problem: Problem, s0: int, horizon: int = None) -> float:
             raise ModelError("no action admissible across the belief support")
         best = -math.inf
         for a in sorted(acts):
-            imm = sum(b[s] * problem.rewards[(s, a)] for s in support)
-            hop = sum(
-                b[s] * p * problem.transition_rewards.get((s, a, s2), 0.0)
-                for s in support
-                for s2, p in problem.transitions[(s, a)]
-            )
+            # Expected reward of this step, arrival rewards included.
+            now = sum(b[s] * q_value(problem, s, a, zeros) for s in support)
             # Probability of each observation under (b, a).
             obs_p = {}
             for s in support:
@@ -572,15 +526,9 @@ def closed_loop_value(problem: Problem, s0: int, horizon: int = None) -> float:
                     continue
                 b2 = belief_update(problem, b, a, o)
                 future += obs_p[o] * belief_value(b2, lv - 1)
-            best = max(best, imm + problem.gamma * (hop + future))
+            best = max(best, now + problem.gamma * future)
         memo[key] = best
         return best
 
-    return belief_value(point_mass(problem.n_states, s0), levels)
+    return belief_value(point_mass(problem.n_states, s0), horizon + 1)
 
-
-def identity_observation_model(n_states: int, n_actions: int):
-    """Perfect observability: the observation names the successor state."""
-    return {
-        (s, a): ((s, 1.0),) for s in range(n_states) for a in range(n_actions)
-    }

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..errors import InvalidConfigError, ResourceLimitError
-from ..model import Problem, identity_observation_model
-from .spec import ScenarioSpec
+from ..model import Problem
+from .spec import ScenarioSpec, motor_temp_after, net_power
 
 _TOL = 1e-9
 
@@ -182,8 +182,6 @@ class CompiledScenario:
 
 def _sun_pieces(power, t0, duration):
     """Split [t0, t0+duration] at the sunlight boundary: [(hours, in_sun)]."""
-    if power is None:
-        return [(duration, False)]
     end = t0 + duration
     sun_until = power.sunlight_until_h
     if end <= sun_until:
@@ -193,15 +191,17 @@ def _sun_pieces(power, t0, duration):
     return [(sun_until - t0, True), (end - sun_until, False)]
 
 
-def _integrate_battery(spec, battery, t0, duration, net_of):
+def _integrate_battery(spec, battery, t0, duration, activity):
     """Advance the battery over one action; returns (final, stranded)."""
     if battery is None:
         return None, False
     cap = spec.battery.capacity_wh
+    if spec.power is None:
+        return _round(min(battery, cap)), False
     b = battery
     stranded = False
     for hours, in_sun in _sun_pieces(spec.power, t0, duration):
-        b += net_of(in_sun) * hours
+        b += net_power(spec, activity, in_sun) * hours
         if b < -_TOL:
             stranded = True
         elif b > cap:
@@ -355,11 +355,7 @@ class _Compiler:
                     nxt = nxt.replace(battery_wh=b)
             elif st.battery_wh is not None:
                 b, stranded = _integrate_battery(
-                    spec,
-                    st.battery_wh,
-                    st.time_h,
-                    seg.duration_h,
-                    lambda in_sun: _net(spec, "drive", in_sun),
+                    spec, st.battery_wh, st.time_h, seg.duration_h, "drive"
                 )
                 nxt = nxt.replace(battery_wh=b)
             if st.temp_c is not None and seg.heats_motor:
@@ -377,11 +373,7 @@ class _Compiler:
         status = st.science_status(act.id)
         t2 = _round(st.time_h + act.duration_h)
         b, stranded = _integrate_battery(
-            spec,
-            st.battery_wh,
-            st.time_h,
-            act.duration_h,
-            lambda in_sun: _net(spec, act.id, in_sun),
+            spec, st.battery_wh, st.time_h, act.duration_h, act.id
         )
         base = st.replace(time_h=t2, battery_wh=b)
         if stranded:
@@ -416,33 +408,16 @@ class _Compiler:
         d = spec.actions.cool_grid_h
         nxt = st.replace(time_h=_round(st.time_h + d))
         if st.temp_c is not None:
-            t2 = max(
-                spec.thermal.nominal_c,
-                st.temp_c - spec.thermal.cool_rate_c_per_h * d,
-            )
+            t2 = motor_temp_after(spec, st.temp_c, 0.0, d)
             nxt = nxt.replace(temp_c=_round(t2))
         if st.battery_wh is not None and spec.power is not None:
             b, stranded = _integrate_battery(
-                spec, st.battery_wh, st.time_h, d,
-                lambda in_sun: _net(spec, "idle", in_sun),
+                spec, st.battery_wh, st.time_h, d, "idle"
             )
             nxt = nxt.replace(battery_wh=b)
             if stranded:
                 nxt = nxt.replace(status=STRANDED)
         return [_Branch(self._settle(nxt), 1.0, {})]
-
-
-def _net(spec, activity, in_sun):
-    p = spec.power
-    if p is None:
-        return 0.0
-    solar = p.solar_w if in_sun else 0.0
-    heater = 0.0 if in_sun else p.heater_w
-    if activity == "drive":
-        return solar - p.drive_w - heater
-    if activity == "idle":
-        return solar - heater
-    return solar - spec.activity(activity).load_w - heater
 
 
 def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledScenario:
@@ -514,8 +489,6 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
         gamma=1.0,
         horizon=n,
         transition_rewards=transition_rewards,
-        observation_labels=labels,
-        observations=identity_observation_model(n, len(comp.action_labels)),
     )
     return CompiledScenario(
         spec=spec,

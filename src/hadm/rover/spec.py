@@ -481,6 +481,7 @@ def load_scenario(doc: dict) -> ScenarioSpec:
         comments=tuple(doc.get("comments", ())),
     )
     _cross_check(spec)
+    _check_non_negative(spec)
     return spec
 
 
@@ -505,6 +506,21 @@ def _cross_check(spec: ScenarioSpec):
             raise InvalidConfigError("mission start/goal not declared as waypoints")
         for act_id in spec.mission.require_activities:
             spec.activity(act_id)
+
+
+def _check_non_negative(spec: ScenarioSpec):
+    """Durations and thermal rates only move time and temperature forward,
+    so motor temperatures stay at or above nominal, where the floor in
+    ``motor_temp_after`` leaves a heating step unchanged."""
+    values = [(f"segment {s.id!r} duration_h", s.duration_h) for s in spec.segments]
+    values += [(f"activity {a.id!r} duration_h", a.duration_h) for a in spec.activities]
+    values.append(("actions.cool_grid_h", spec.actions.cool_grid_h))
+    if spec.thermal is not None:
+        values.append(("thermal.heat_rate_c_per_h", spec.thermal.heat_rate_c_per_h))
+        values.append(("thermal.cool_rate_c_per_h", spec.thermal.cool_rate_c_per_h))
+    for name, value in values:
+        if value is not None and value < 0:
+            raise InvalidConfigError(f"{name} must be non-negative, got {value}")
 
 
 def load_scenario_file(path) -> ScenarioSpec:

@@ -34,6 +34,15 @@ class TestExitCodes:
     def test_rover_scenario_cannot_predict(self, capsys):
         assert run_cli(["predict", "--scenario", "builtin:2"]) == 2
 
+    def test_negative_duration_is_config_error(self, capsys, tmp_path):
+        from hadm.rover import builtin_scenario_dict
+
+        doc = builtin_scenario_dict(4)
+        doc["segments"][0]["duration_h"] = -2
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["run", "--scenario", str(path)]) == 2
+
     def test_state_cap_is_resource_error(self, capsys):
         assert run_cli(
             ["run", "--scenario", "builtin:4", "--max-states", "10"]

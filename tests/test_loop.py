@@ -116,6 +116,27 @@ class TestSerValidation:
         good = SerPolicy(member={0}, actions={0: 1}, safe_set=frozenset({2}))
         assert validate_ser(q, good).ok
 
+    def test_long_chain_does_not_recurse(self):
+        from hadm.model import Problem
+
+        n = 3000
+        p = Problem(
+            state_labels=tuple(f"s{i}" for i in range(n)),
+            action_labels=("go", "stay"),
+            admissible=tuple((0,) for _ in range(n - 1)) + ((1,),),
+            transitions={**{(s, 0): ((s + 1, 1.0),) for s in range(n - 1)},
+                         (n - 1, 1): ((n - 1, 1.0),)},
+            rewards={**{(s, 0): 0.0 for s in range(n - 1)}, (n - 1, 1): 0.0},
+            terminal=frozenset({n - 1}),
+            horizon=n,
+        )
+        go = {s: 0 for s in range(n - 1)}
+        assert validate_ser(p, SerPolicy(member={0}, actions=go)).ok
+        report = validate_ser(p, SerPolicy(member={0}, actions=go, step_bound=10))
+        assert report.violations == [
+            "safety takes 2999 steps from 's0', exceeding the bound of 10"
+        ]
+
     def test_inadmissible_response_flagged(self, crater):
         p = crater.problem
         root = crater.initial_state

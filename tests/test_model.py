@@ -21,7 +21,6 @@ from hadm.model import (
     expected_utility,
     extract_nonstationary,
     extract_policy,
-    identity_observation_model,
     open_loop_expectation,
     plan_utility,
     point_mass,
@@ -108,9 +107,24 @@ def random_problem(rng, max_states=4, max_actions=3, max_horizon=3,
         transitions=transitions,
         rewards=rewards,
         terminal=frozenset(terminal),
-        gamma=1.0,
+        gamma=1.0 if rng.random() < 0.5 else round(rng.uniform(0.5, 0.99), 2),
         horizon=rng.randint(1, max_horizon),
         transition_rewards=transition_rewards,
+    )
+
+
+def chain_of(n):
+    """n-state deterministic chain 0 -> 1 -> ... -> n-1 (terminal), reward 1 per hop."""
+    return Problem(
+        state_labels=tuple(f"s{i}" for i in range(n)),
+        action_labels=("go", "stay"),
+        admissible=tuple((0,) for _ in range(n - 1)) + ((1,),),
+        transitions={**{(s, 0): ((s + 1, 1.0),) for s in range(n - 1)},
+                     (n - 1, 1): ((n - 1, 1.0),)},
+        rewards={**{(s, 0): 1.0 for s in range(n - 1)}, (n - 1, 1): 0.0},
+        terminal=frozenset({n - 1}),
+        gamma=1.0,
+        horizon=n,
     )
 
 
@@ -164,6 +178,20 @@ class TestProblemValidation:
                 rewards={(0, 0): 0.0, (1, 0): 0.0},
                 terminal=frozenset({1}),
                 horizon=1,
+            )
+
+    @pytest.mark.parametrize("reward, rho", [(-1.0, {}), (0.0, {(1, 0, 1): 2.0})])
+    def test_terminal_must_absorb_with_zero_reward(self, reward, rho):
+        with pytest.raises(ModelError, match="zero reward"):
+            Problem(
+                state_labels=("a", "b"),
+                action_labels=("x",),
+                admissible=((0,), (0,)),
+                transitions={(0, 0): ((1, 1.0),), (1, 0): ((1, 1.0),)},
+                rewards={(0, 0): 0.0, (1, 0): reward},
+                terminal=frozenset({1}),
+                horizon=1,
+                transition_rewards=rho,
             )
 
     def test_gamma_one_needs_horizon(self):
@@ -239,6 +267,19 @@ class TestBeliefs:
         )
         with pytest.raises(ImpossibleObservationError):
             belief_update(p, (1.0,), 0, 1)
+
+    def test_fully_observable_update_is_point_mass(self):
+        # Without an observation model the observation names the successor.
+        p = coin_problem()
+        assert belief_update(p, point_mass(3, 0), 0, 2) == (0.0, 0.0, 1.0)
+        assert belief_update(p, (0.0, 0.5, 0.5), 1, 1) == (0.0, 1.0, 0.0)
+
+    def test_fully_observable_unreachable_successor(self):
+        p = coin_problem()
+        with pytest.raises(ImpossibleObservationError):
+            belief_update(p, point_mass(3, 0), 0, 0)
+        with pytest.raises(ImpossibleObservationError):
+            belief_update(p, point_mass(3, 1), 1, 2)
 
 
 class TestDeterministicValues:
@@ -390,11 +431,20 @@ class TestOpenAndClosedLoop:
             assert sum(pr for pr, _ in scenarios) == pytest.approx(1.0)
 
     def test_closed_loop_equals_value_iteration_when_observable(self):
+        # closed_loop_value delegates to value iteration here, so the
+        # reference is the independent tree expectimax.
         rng = random.Random(21)
         for _ in range(30):
             p = random_problem(rng, with_terminal=rng.random() < 0.5)
-            t = value_iterate(p, horizon=p.horizon)
-            assert closed_loop_value(p, 0) == pytest.approx(t[0], abs=1e-9)
+            assert closed_loop_value(p, 0) == pytest.approx(
+                oracle_value(p, 0, p.horizon + 1), abs=1e-9
+            )
+
+    def test_long_chain_does_not_recurse(self):
+        p = chain_of(3000)
+        value, scenarios = open_loop_expectation(p, 0, "uniform")
+        assert value == 2999.0
+        assert scenarios == [(1.0, 2999.0)]
 
     def test_value_of_information(self):
         rng = random.Random(31)

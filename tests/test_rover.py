@@ -68,6 +68,23 @@ class TestScenarioLoading:
         with pytest.raises(InvalidConfigError):
             load_scenario(doc)
 
+    @pytest.mark.parametrize("path", [
+        ("segments", 0, "duration_h"),
+        ("activities", 0, "duration_h"),
+        ("actions", "cool_grid_h"),
+        ("thermal", "heat_rate_c_per_h"),
+        ("thermal", "cool_rate_c_per_h"),
+    ])
+    def test_negative_durations_and_rates_rejected(self, path):
+        doc = builtin_scenario_dict(4)
+        *parents, leaf = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = -1
+        with pytest.raises(InvalidConfigError, match="non-negative"):
+            load_scenario(doc)
+
 
 class TestEnergyAndThermalModels:
     def test_net_power_table(self):
