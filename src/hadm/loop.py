@@ -41,11 +41,34 @@ def most_likely_state(belief) -> int:
 
 def belief_summary(problem: Problem, belief, top: int = 3):
     """The ``top`` most likely states as (label, probability) pairs."""
+    return _summary(problem, enumerate(belief), top)
+
+
+def _summary(problem: Problem, pairs, top: int = 3):
+    """``belief_summary`` over (state, probability) pairs in index order."""
     ranked = sorted(
-        ((p, s) for s, p in enumerate(belief) if p > _TOL),
+        ((p, s) for s, p in pairs if p > _TOL),
         key=lambda x: (-x[0], x[1]),
     )
     return [(problem.state_labels[s], round(p, 9)) for p, s in ranked[:top]]
+
+
+def _scan_belief(b, terminal):
+    """One pass over a belief: (support, terminal mass, most likely state).
+
+    The support holds every nonzero entry in index order, so the terminal
+    mass is the dense sum and the argmax is ``most_likely_state(b)``:
+    the same scan, started where a zero at index 0 would have left it.
+    """
+    support = [(s, p) for s, p in enumerate(b) if p != 0.0]
+    term_mass = 0
+    best, best_p = 0, (-1.0 if b[0] != 0.0 else 0.0)
+    for s, p in support:
+        if s in terminal:
+            term_mass += p
+        if p > best_p + _TOL:
+            best, best_p = s, p
+    return support, term_mass, best
 
 
 def observation_index(observation) -> int:
@@ -73,10 +96,11 @@ class OfflinePolicyProvider:
 class OnlineExpectimaxProvider:
     """Greedy one-step lookahead against optimal utilities.
 
-    Utilities are computed once by value iteration and cached; each query
-    maximizes the belief-weighted action value over the actions
-    admissible everywhere in the belief support.  Ties break toward the
-    lowest action index.
+    Each instance computes the utilities once by value iteration when it
+    is built (``HadmProvider`` instead shares one table per compiled
+    scenario); each query maximizes the belief-weighted action value over
+    the actions admissible everywhere in the belief support.  Ties break
+    toward the lowest action index.
     """
 
     def __init__(self, problem: Problem, horizon: int = None):
@@ -353,19 +377,18 @@ def run_loop(
     trace = LoopTrace()
 
     for step in range(max_steps + 1):
-        term_mass = sum(p for s, p in enumerate(b) if problem.is_terminal(s))
+        support, term_mass, s_hat = _scan_belief(b, problem.terminal)
         if term_mass >= terminal_belief:
             trace.terminal = True
-            trace.terminal_label = problem.state_labels[most_likely_state(b)]
+            trace.terminal_label = problem.state_labels[s_hat]
             return trace
         if step == max_steps:
             break
-        s_hat = most_likely_state(b)
         proposed = provider.decide(problem, b, obs, step)
         action, tag = arbitrate(s_hat, obs.channels, ser, proposed)
         if action is None:
             break
-        summary = belief_summary(problem, b)
+        summary = _summary(problem, support)
         obs, reward = plant.step(action)
         try:
             b = belief_update(problem, b, action, observation_index(obs))

@@ -176,7 +176,10 @@ Plan = Sequence
 
 
 def point_mass(n_states: int, s: int) -> Belief:
-    return tuple(1.0 if i == s else 0.0 for i in range(n_states))
+    b = [0.0] * n_states
+    if 0 <= s < n_states:
+        b[s] = 1.0
+    return tuple(b)
 
 
 def validate_belief(b: Belief):
@@ -373,12 +376,12 @@ def belief_update(problem: Problem, b: Belief, a: int, o: int) -> Belief:
     """
     n = problem.n_states
     pred = [0.0] * n
-    for s in range(n):
-        if b[s] <= 0.0:
+    for s, bs in enumerate(b):
+        if bs <= 0.0:
             continue
         problem.require_admissible(s, a)
         for s2, p in problem.transitions[(s, a)]:
-            pred[s2] += p * b[s]
+            pred[s2] += p * bs
     if problem.observations is None:
         if 0 <= o < n and pred[o] > 0.0:
             return point_mass(n, o)
@@ -485,8 +488,9 @@ def closed_loop_value(problem: Problem, s0: int, horizon: int = None) -> float:
     observed so far, by exhaustive expectimax.
 
     Fully observable problems (no observation model) are solved by value
-    iteration; otherwise the recursion runs over beliefs reachable under
-    the observation model.
+    iteration; otherwise the expectimax walks the beliefs reachable under
+    the observation model depth first, on an explicit stack, so long
+    horizons do not hit the recursion limit.
     """
     if horizon is None:
         horizon = problem.horizon
@@ -499,6 +503,10 @@ def closed_loop_value(problem: Problem, s0: int, horizon: int = None) -> float:
     zeros = dict.fromkeys(range(problem.n_states), 0.0)
 
     def belief_value(b, lv):
+        """Value of belief ``b`` with ``lv`` levels left, as a generator:
+        it yields each (successor belief, levels) whose value it needs and
+        is sent that value back, so the driver below keeps the depth-first
+        visit order without recursing."""
         support = [s for s in range(problem.n_states) if b[s] > PROB_TOL]
         if lv == 0 or all(problem.is_terminal(s) for s in support):
             return 0.0
@@ -525,10 +533,20 @@ def closed_loop_value(problem: Problem, s0: int, horizon: int = None) -> float:
                 if obs_p[o] <= PROB_TOL:
                     continue
                 b2 = belief_update(problem, b, a, o)
-                future += obs_p[o] * belief_value(b2, lv - 1)
+                future += obs_p[o] * (yield b2, lv - 1)
             best = max(best, now + problem.gamma * future)
         memo[key] = best
         return best
 
-    return belief_value(point_mass(problem.n_states, s0), horizon + 1)
-
+    stack = [belief_value(point_mass(problem.n_states, s0), horizon + 1)]
+    value = None
+    while stack:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(belief_value(*child))
+            value = None
+    return value

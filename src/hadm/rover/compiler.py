@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..errors import InvalidConfigError, ResourceLimitError
-from ..model import Problem
+from ..model import Problem, ValueTable
 from .spec import ScenarioSpec, motor_temp_after, net_power
 
 _TOL = 1e-9
@@ -127,7 +127,11 @@ class _Branch:
 
 @dataclass
 class CompiledScenario:
-    """A scenario compiled to a Problem plus the labeling metadata."""
+    """A scenario compiled to a Problem plus the labeling metadata.
+
+    ``table`` holds the problem's optimal utilities once a ``hadm``
+    provider has solved it; later providers on this object reuse it.
+    """
 
     spec: ScenarioSpec
     problem: Problem
@@ -137,6 +141,7 @@ class CompiledScenario:
     rv_defs: dict  # rv name -> {value: probability}
     branches: dict  # (s, a) -> ((s2, p, {rv: value}), ...)
     action_index: dict  # action label -> action index
+    table: ValueTable = field(default=None, init=False, repr=False, compare=False)
 
     def action(self, label: str) -> int:
         if label not in self.action_index:
@@ -350,7 +355,7 @@ class _Compiler:
                     )
                 energy = seg.energy_wh[cls]
                 if st.battery_wh is not None:
-                    b = _round(st.battery_wh - energy)
+                    b = _round(min(st.battery_wh - energy, spec.battery.capacity_wh))
                     stranded = b < -_TOL
                     nxt = nxt.replace(battery_wh=b)
             elif st.battery_wh is not None:

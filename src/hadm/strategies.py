@@ -34,8 +34,18 @@ from .shm import (
 
 
 class HadmProvider(OnlineExpectimaxProvider):
+    """Online expectimax over the compiled scenario's solved table.
+
+    The first provider built on a compiled scenario solves its problem
+    and stores the table on it (``compiled.table``); every later one
+    reuses that table, so a process solves each compiled scenario once.
+    """
+
     def __init__(self, compiled: CompiledScenario, seed: int = 0):
-        super().__init__(compiled.problem)
+        if compiled.table is None:
+            super().__init__(compiled.problem)
+            compiled.table = self.table
+        self.problem, self.table = compiled.problem, compiled.table
 
     @staticmethod
     def applicable(spec) -> bool:

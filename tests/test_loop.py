@@ -5,13 +5,17 @@ import math
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadm.errors import ModelError
 from hadm.loop import (
     OfflinePolicyProvider,
     OnlineExpectimaxProvider,
     SerPolicy,
+    _scan_belief,
     arbitrate,
+    most_likely_state,
     run_loop,
     validate_ser,
 )
@@ -259,3 +263,31 @@ class TestRunLoop:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0].startswith("step,")
         assert len(lines) == 1 + len(trace.records)
+
+
+# Belief entries that stress the argmax tie rule: exact zeros (both signs),
+# the tiny negatives validate_belief admits, masses at or below the 1e-9
+# tie tolerance, and values within it of each other.
+_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, -1e-9]),
+    st.floats(min_value=1e-12, max_value=3e-9),
+    st.sampled_from([0.25, 0.25 + 4e-10, 0.25 + 9e-10, 0.25 + 1.5e-9, 0.5]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+class TestBeliefScan:
+    @settings(max_examples=500, derandomize=True, database=None)
+    @given(st.lists(_entries, min_size=1, max_size=12), st.data())
+    def test_scan_matches_dense_argmax_and_terminal_sum(self, b, data):
+        terminal = frozenset(data.draw(st.sets(st.integers(0, len(b) - 1))))
+        support, term_mass, s_hat = _scan_belief(tuple(b), terminal)
+        assert s_hat == most_likely_state(b)
+        assert term_mass == sum(p for s, p in enumerate(b) if s in terminal)
+        assert support == [(s, p) for s, p in enumerate(b) if p != 0.0]
+
+    def test_zero_first_entry_keeps_the_dense_start(self):
+        # The dense scan starts from the zero at index 0, so 5e-10 does
+        # not displace it but 1.2e-9 does.
+        assert most_likely_state((0.0, 5e-10, 1.2e-9)) == 2
+        assert _scan_belief((0.0, 5e-10, 1.2e-9), frozenset())[2] == 2

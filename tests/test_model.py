@@ -542,6 +542,25 @@ class TestOpenAndClosedLoop:
         )
         assert closed_loop_value(q, 0) == pytest.approx(best, abs=1e-9)
 
+    def test_long_horizon_belief_expectimax_does_not_recurse(self):
+        # A noisy sensor over a state that is redrawn every step, so each
+        # level has two reachable beliefs; the walk is 1501 levels deep.
+        p = Problem(
+            state_labels=("ok", "worn"),
+            action_labels=("run",),
+            admissible=((0,), (0,)),
+            transitions={(0, 0): ((0, 0.5), (1, 0.5)),
+                         (1, 0): ((0, 0.5), (1, 0.5))},
+            rewards={(0, 0): 1.0, (1, 0): 0.0},
+            gamma=1.0,
+            horizon=1500,
+            observation_labels=("quiet", "noisy"),
+            observations={(0, 0): ((0, 0.8), (1, 0.2)),
+                          (1, 0): ((0, 0.3), (1, 0.7))},
+        )
+        # 1 at the start state, then half a unit of reward per level.
+        assert closed_loop_value(p, 0) == pytest.approx(1.0 + 1500 * 0.5)
+
     def test_nonstationary_policy_length_checked(self):
         p = chain_problem()
         with pytest.raises(InvalidConfigError):

@@ -146,6 +146,18 @@ class TestCompilation:
             if st.battery_wh is not None and st.status == "ok":
                 assert st.battery_wh <= recharge.spec.battery.capacity_wh
 
+    def test_negative_segment_energy_clamps_at_capacity(self):
+        # Driving D1 now gains 500 Wh; what would exceed the capacity is
+        # lost, as when net power charges the battery.
+        doc = builtin_scenario_dict(2)
+        d1 = next(seg for seg in doc["segments"] if seg["id"] == "D1")
+        d1["energy_wh"] = {"easy": -500}
+        compiled = compile_scenario(load_scenario(doc))
+        cap = compiled.spec.battery.capacity_wh
+        assert max(st.battery_wh for st in compiled.states) == cap
+        assert any(st.position == "wp3" and st.battery_wh == cap
+                   for st in compiled.states)
+
     def test_stranded_keeps_deficit(self, crater):
         deficits = [
             st.battery_wh for st in crater.states if st.status == STRANDED

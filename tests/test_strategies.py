@@ -1,6 +1,8 @@
 """Strategy tests: the four named behaviors over the built-in scenarios."""
 import pytest
 
+import hadm.loop
+from hadm.cli import main
 from hadm.errors import InvalidConfigError
 from hadm.loop import run_loop
 from hadm.rover import Plant, builtin_scenario, compile_scenario
@@ -224,3 +226,37 @@ class TestAnalyticExpectations:
         mean = sum(totals) / len(totals)
         se = statistics.stdev(totals) / math.sqrt(len(totals))
         assert abs(mean - (-840.0)) <= 3 * se
+
+
+class TestSharedSolve:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = hadm.loop.value_iterate
+
+        def counting(problem, *args, **kwargs):
+            calls.append(problem)
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(hadm.loop, "value_iterate", counting)
+        return calls
+
+    @pytest.mark.parametrize("rollouts", ["1", "20"])
+    def test_compare_solves_once(self, solves, tmp_path, rollouts):
+        out = tmp_path / "compare.csv"
+        assert main(["compare", "--scenario", "builtin:2", "--rollouts", rollouts,
+                     "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("hadm,-800.0,")
+        assert len(solves) == 1
+
+    def test_analytic_expectation_reuses_the_table(self, solves):
+        compiled = compile_scenario(builtin_scenario(2))
+        first = analytic_expectation(compiled, "hadm")
+        assert analytic_expectation(compiled, "hadm") == first
+        assert solves == [compiled.problem]
+
+    def test_providers_share_one_table(self):
+        compiled = compile_scenario(builtin_scenario(4))
+        one = make_provider("hadm", compiled)
+        two = make_provider("hadm", compiled, seed=1)
+        assert one.table is two.table is compiled.table
