@@ -17,6 +17,7 @@ from typing import IO, Mapping
 
 from .errors import ImpossibleObservationError, InvalidConfigError, ModelError
 from .model import (
+    Belief,
     Policy,
     Problem,
     ValueTable,
@@ -28,47 +29,32 @@ from .model import (
 )
 
 _TOL = 1e-9
+# Belief mass on the terminal set at which the loop stops.
+TERMINAL_BELIEF = 0.999
 
 
-def most_likely_state(belief) -> int:
-    """Belief argmax; ties go to the lowest state index."""
-    best, best_p = 0, -1.0
-    for s, p in enumerate(belief):
-        if p > best_p + _TOL:
-            best, best_p = s, p
+def most_likely_state(belief: Belief) -> int:
+    """Belief argmax; ties go to the lowest state index, and an absent
+    state 0 counts as probability 0."""
+    best, best_p = 0, belief.get(0, 0.0)
+    for s in sorted(belief):
+        if belief[s] > best_p + _TOL:
+            best, best_p = s, belief[s]
     return best
 
 
-def belief_summary(problem: Problem, belief, top: int = 3):
+def terminal_mass(belief: Belief, terminal) -> float:
+    """Belief mass on the ``terminal`` states, summed in state order."""
+    return sum(belief[s] for s in sorted(belief) if s in terminal)
+
+
+def belief_summary(problem: Problem, belief: Belief, top: int = 3):
     """The ``top`` most likely states as (label, probability) pairs."""
-    return _summary(problem, enumerate(belief), top)
-
-
-def _summary(problem: Problem, pairs, top: int = 3):
-    """``belief_summary`` over (state, probability) pairs in index order."""
     ranked = sorted(
-        ((p, s) for s, p in pairs if p > _TOL),
+        ((p, s) for s, p in belief.items() if p > _TOL),
         key=lambda x: (-x[0], x[1]),
     )
     return [(problem.state_labels[s], round(p, 9)) for p, s in ranked[:top]]
-
-
-def _scan_belief(b, terminal):
-    """One pass over a belief: (support, terminal mass, most likely state).
-
-    The support holds every nonzero entry in index order, so the terminal
-    mass is the dense sum and the argmax is ``most_likely_state(b)``:
-    the same scan, started where a zero at index 0 would have left it.
-    """
-    support = [(s, p) for s, p in enumerate(b) if p != 0.0]
-    term_mass = 0
-    best, best_p = 0, (-1.0 if b[0] != 0.0 else 0.0)
-    for s, p in support:
-        if s in terminal:
-            term_mass += p
-        if p > best_p + _TOL:
-            best, best_p = s, p
-    return support, term_mass, best
 
 
 def observation_index(observation) -> int:
@@ -107,8 +93,8 @@ class OnlineExpectimaxProvider:
         self.problem = problem
         self.table: ValueTable = value_iterate(problem, horizon=horizon)
 
-    def decide(self, problem: Problem, belief, observation, step: int):
-        support = [s for s, p in enumerate(belief) if p > _TOL]
+    def decide(self, problem: Problem, belief: Belief, observation, step: int):
+        support = [s for s in sorted(belief) if belief[s] > _TOL]
         acts = set(problem.admissible[support[0]])
         for s in support[1:]:
             acts &= set(problem.admissible[s])
@@ -359,26 +345,26 @@ def run_loop(
     ser: SerPolicy = None,
     b0=None,
     max_steps: int = 10000,
-    terminal_belief: float = 0.999,
 ) -> LoopTrace:
     """Execute the loop until the terminal set is believed reached.
 
     ``plant`` must expose observe() and step(action) -> (observation,
     reward).  The belief starts at ``b0`` (default: point mass on the
-    plant's current state) and is Bayes-updated after every step.  An
+    plant's current state) and is Bayes-updated after every step; the
+    loop stops once its terminal mass reaches ``TERMINAL_BELIEF``.  An
     impossible observation aborts with the diagnostic recorded on the
     trace; a provider returning None (and no safety override) truncates.
     """
-    if b0 is None:
-        b0 = point_mass(problem.n_states, plant.state)
-    validate_belief(b0)
-    b = tuple(b0)
+    b = point_mass(problem.n_states, plant.state) if b0 is None else b0
+    if not all(0 <= s < problem.n_states for s in b):
+        raise ModelError("initial belief names a state outside the problem")
+    validate_belief(b)
     obs = plant.observe()
     trace = LoopTrace()
 
     for step in range(max_steps + 1):
-        support, term_mass, s_hat = _scan_belief(b, problem.terminal)
-        if term_mass >= terminal_belief:
+        s_hat = most_likely_state(b)
+        if terminal_mass(b, problem.terminal) >= TERMINAL_BELIEF:
             trace.terminal = True
             trace.terminal_label = problem.state_labels[s_hat]
             return trace
@@ -388,7 +374,7 @@ def run_loop(
         action, tag = arbitrate(s_hat, obs.channels, ser, proposed)
         if action is None:
             break
-        summary = _summary(problem, support)
+        summary = belief_summary(problem, b)
         obs, reward = plant.step(action)
         try:
             b = belief_update(problem, b, action, observation_index(obs))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Sequence, Union
+from typing import IO, Mapping, Sequence
 
 from .errors import (
     ImpossibleObservationError,
@@ -23,10 +23,9 @@ from .errors import (
 
 PROB_TOL = 1e-9
 
-# A transition/observation row: ((index, probability), ...)
-Row = tuple
-
-Belief = tuple
+# A belief maps each state index in its support to its probability;
+# states it leaves out have probability 0.
+Belief = Mapping[int, float]
 
 
 def _check_row(row, n, what):
@@ -117,9 +116,6 @@ class Problem:
     def n_states(self):
         return len(self.state_labels)
 
-    def actions_at(self, s):
-        return self.admissible[s]
-
     def is_terminal(self, s):
         return s in self.terminal
 
@@ -176,17 +172,18 @@ Plan = Sequence
 
 
 def point_mass(n_states: int, s: int) -> Belief:
-    b = [0.0] * n_states
-    if 0 <= s < n_states:
-        b[s] = 1.0
-    return tuple(b)
+    """All mass on ``s``; empty (and so invalid) when ``s`` is out of range."""
+    return {s: 1.0} if 0 <= s < n_states else {}
 
 
 def validate_belief(b: Belief):
-    if any(p < -PROB_TOL for p in b):
-        raise ModelError("belief has a negative entry")
-    if abs(sum(b) - 1.0) > PROB_TOL:
-        raise ModelError(f"belief sums to {sum(b)}, expected 1")
+    """Reject negative, NaN or infinite entries and sums other than 1."""
+    probs = [b[s] for s in sorted(b)]
+    if not all(p >= -PROB_TOL for p in probs):
+        raise ModelError("belief has a negative or NaN entry")
+    total = sum(probs, 0.0)
+    if not abs(total - 1.0) <= PROB_TOL:
+        raise ModelError(f"belief sums to {total}, expected 1")
 
 
 def expected_utility(problem: Problem, s: int, a: int, u) -> float:
@@ -372,33 +369,35 @@ def belief_update(problem: Problem, b: Belief, a: int, o: int) -> Belief:
     """Bayes update: b'(s') proportional to O(s',a,o) * sum_s T(s,a,s') b(s).
 
     Without an observation model ``o`` names the successor state, so the
-    result is the point mass on it.
+    result is the point mass on it.  Otherwise the result holds the
+    predicted states that explain ``o``, in ascending state order.
     """
-    n = problem.n_states
-    pred = [0.0] * n
-    for s, bs in enumerate(b):
+    pred = {}
+    for s in sorted(b):
+        bs = b[s]
         if bs <= 0.0:
             continue
         problem.require_admissible(s, a)
         for s2, p in problem.transitions[(s, a)]:
-            pred[s2] += p * bs
+            pred[s2] = pred.get(s2, 0.0) + p * bs
     if problem.observations is None:
-        if 0 <= o < n and pred[o] > 0.0:
-            return point_mass(n, o)
+        if pred.get(o, 0.0) > 0.0:
+            return {o: 1.0}
         labels = problem.state_labels
     else:
-        post = [0.0] * n
-        for s2 in range(n):
+        post = {}
+        for s2 in sorted(pred):
             if pred[s2] <= 0.0:
                 continue
             like = 0.0
             for oi, p in problem.observations.get((s2, a), ()):
                 if oi == o:
                     like += p
-            post[s2] = like * pred[s2]
-        z = sum(post)
+            if like != 0.0:
+                post[s2] = like * pred[s2]
+        z = sum(post.values())
         if z > 0.0:
-            return tuple(x / z for x in post)
+            return {s2: x / z for s2, x in post.items()}
         labels = problem.observation_labels
     label = labels[o] if 0 <= o < len(labels) else o
     raise ImpossibleObservationError(
@@ -507,10 +506,12 @@ def closed_loop_value(problem: Problem, s0: int, horizon: int = None) -> float:
         it yields each (successor belief, levels) whose value it needs and
         is sent that value back, so the driver below keeps the depth-first
         visit order without recursing."""
-        support = [s for s in range(problem.n_states) if b[s] > PROB_TOL]
+        states = sorted(b)
+        support = [s for s in states if b[s] > PROB_TOL]
         if lv == 0 or all(problem.is_terminal(s) for s in support):
             return 0.0
-        key = (tuple(round(x, 12) for x in b), lv)
+        rounded = [(s, round(b[s], 12)) for s in states]
+        key = (tuple((s, r) for s, r in rounded if r != 0.0), lv)
         if key in memo:
             return memo[key]
         acts = set(problem.admissible[support[0]])

@@ -136,7 +136,6 @@ class CompiledScenario:
     spec: ScenarioSpec
     problem: Problem
     states: list
-    index: dict  # RoverState -> state index
     initial_state: int
     rv_defs: dict  # rv name -> {value: probability}
     branches: dict  # (s, a) -> ((s2, p, {rv: value}), ...)
@@ -147,9 +146,6 @@ class CompiledScenario:
         if label not in self.action_index:
             raise InvalidConfigError(f"unknown action {label!r}")
         return self.action_index[label]
-
-    def state_vector(self, s: int):
-        return self.states[s].components()
 
     def channels(self, s: int) -> dict:
         """Observation channels exposed by the plant for state ``s``."""
@@ -499,7 +495,6 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
         spec=spec,
         problem=problem,
         states=states,
-        index=index,
         initial_state=0,
         rv_defs=comp.rv_defs,
         branches=branches,

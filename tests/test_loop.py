@@ -3,6 +3,7 @@ import io
 import json
 import math
 import statistics
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,11 @@ from hadm.loop import (
     OfflinePolicyProvider,
     OnlineExpectimaxProvider,
     SerPolicy,
-    _scan_belief,
     arbitrate,
+    belief_summary,
     most_likely_state,
     run_loop,
+    terminal_mass,
     validate_ser,
 )
 from hadm.model import extract_policy, point_mass, value_iterate
@@ -219,6 +221,37 @@ class TestRunLoop:
         # The safety layer never lets the motor overheat.
         assert all(r.observation["motor_temp_c"] < 80 for r in trace.records)
 
+    def test_initial_belief_outside_the_problem_is_rejected(self, crater):
+        p = crater.problem
+        for b0 in ({p.n_states: 1.0}, {-1: 1.0}, {0: 0.5, p.n_states: 0.5}):
+            with pytest.raises(ModelError):
+                run_loop(Plant(crater, seed=0), p, make_provider("hadm", crater),
+                         b0=b0)
+
+    def test_nan_initial_belief_is_rejected(self, crater):
+        p = crater.problem
+        b0 = {crater.initial_state: 1.0, 1: math.nan}
+        with pytest.raises(ModelError):
+            run_loop(Plant(crater, seed=0), p, make_provider("hadm", crater), b0=b0)
+
+    @pytest.mark.parametrize("strategy", ["hadm", "shm-baseline"])
+    def test_decide_sees_a_one_entry_belief(self, hill, strategy):
+        # Compiled scenarios are fully observable, so every belief the
+        # providers see is the point mass on the plant's state.
+        provider = make_provider(strategy, hill, seed=0)
+        plant = Plant(hill, seed=0)
+        seen = []
+        decide = provider.decide
+
+        def spy(problem, belief, observation, step):
+            seen.append((dict(belief), plant.state))
+            return decide(problem, belief, observation, step)
+
+        provider.decide = spy
+        run_loop(plant, hill.problem, provider)
+        assert seen
+        assert all(belief == {state: 1.0} for belief, state in seen)
+
     def test_step_cap_truncates(self, hill):
         class Idler:
             def decide(self, problem, belief, observation, step):
@@ -276,18 +309,47 @@ _entries = st.one_of(
 )
 
 
+def dense_most_likely_state(b):
+    """Reference argmax over a dense belief list; ties go to the lowest index."""
+    best, best_p = 0, -1.0
+    for s, p in enumerate(b):
+        if p > best_p + 1e-9:
+            best, best_p = s, p
+    return best
+
+
+def dense_summary(labels, b, top=3):
+    """Reference summary over a dense belief list."""
+    ranked = sorted(
+        ((p, s) for s, p in enumerate(b) if p > 1e-9), key=lambda x: (-x[0], x[1])
+    )
+    return [(labels[s], round(p, 9)) for p, s in ranked[:top]]
+
+
 class TestBeliefScan:
     @settings(max_examples=500, derandomize=True, database=None)
     @given(st.lists(_entries, min_size=1, max_size=12), st.data())
     def test_scan_matches_dense_argmax_and_terminal_sum(self, b, data):
-        terminal = frozenset(data.draw(st.sets(st.integers(0, len(b) - 1))))
-        support, term_mass, s_hat = _scan_belief(tuple(b), terminal)
-        assert s_hat == most_likely_state(b)
-        assert term_mass == sum(p for s, p in enumerate(b) if s in terminal)
-        assert support == [(s, p) for s, p in enumerate(b) if p != 0.0]
+        n = len(b)
+        terminal = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
+        # The mapping holds the nonzero entries (zeros only if drawn), in
+        # a drawn insertion order: no result may depend on that order.
+        order = data.draw(st.permutations(range(n)))
+        keep_zeros = data.draw(st.booleans())
+        sparse = {s: b[s] for s in order if keep_zeros or b[s] != 0.0}
+        assert most_likely_state(sparse) == dense_most_likely_state(b)
+        assert terminal_mass(sparse, terminal) == sum(
+            p for s, p in enumerate(b) if s in terminal
+        )
+        problem = SimpleNamespace(state_labels=tuple(f"s{i}" for i in range(n)))
+        assert belief_summary(problem, sparse) == dense_summary(
+            problem.state_labels, b
+        )
 
     def test_zero_first_entry_keeps_the_dense_start(self):
-        # The dense scan starts from the zero at index 0, so 5e-10 does
-        # not displace it but 1.2e-9 does.
-        assert most_likely_state((0.0, 5e-10, 1.2e-9)) == 2
-        assert _scan_belief((0.0, 5e-10, 1.2e-9), frozenset())[2] == 2
+        # An absent state 0 counts as probability 0, as in the dense scan,
+        # so 5e-10 does not displace it but 1.2e-9 does.
+        assert dense_most_likely_state((0.0, 5e-10, 1.2e-9)) == 2
+        assert most_likely_state({1: 5e-10, 2: 1.2e-9}) == 2
+        assert most_likely_state({2: 1.2e-9, 1: 5e-10}) == 2
+        assert most_likely_state({1: 5e-10}) == 0

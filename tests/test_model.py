@@ -1,4 +1,5 @@
 """Core decision-problem tests: construction, solvers, oracles."""
+import dataclasses
 import itertools
 import math
 import random
@@ -222,15 +223,76 @@ class TestProblemValidation:
             p.require_admissible(0, 1)
 
 
+def dense_belief_update(problem, b, a, o):
+    """Reference Bayes update over all n states of a dense belief list;
+    None when the observation has zero probability."""
+    n = problem.n_states
+    pred = [0.0] * n
+    for s in range(n):
+        if b[s] <= 0.0:
+            continue
+        problem.require_admissible(s, a)
+        for s2, p in problem.transitions[(s, a)]:
+            pred[s2] += p * b[s]
+    post = [0.0] * n
+    for s2 in range(n):
+        if pred[s2] <= 0.0:
+            continue
+        if problem.observations is None:
+            like = 1.0 if s2 == o else 0.0
+        else:
+            like = 0.0
+            for oi, p in problem.observations.get((s2, a), ()):
+                if oi == o:
+                    like += p
+        post[s2] = like * pred[s2]
+    z = sum(post)
+    return [x / z for x in post] if z > 0.0 else None
+
+
+def random_pomdp(rng):
+    """``random_problem`` with a random observation model (some rows missing)."""
+    p = random_problem(rng, with_terminal=rng.random() < 0.5)
+    n_obs = rng.randint(1, 3)
+    observations = {}
+    for s2 in range(p.n_states):
+        for a in range(len(p.action_labels)):
+            if rng.random() < 0.8:
+                obs = rng.sample(range(n_obs), rng.randint(1, n_obs))
+                weights = [rng.random() + 0.05 for _ in obs]
+                z = sum(weights)
+                observations[(s2, a)] = tuple(
+                    (o, w / z) for o, w in zip(obs, weights)
+                )
+    return dataclasses.replace(
+        p,
+        observation_labels=tuple(f"o{i}" for i in range(n_obs)),
+        observations=observations,
+    )
+
+
 class TestBeliefs:
     def test_point_mass(self):
         b = point_mass(3, 1)
-        assert b == (0.0, 1.0, 0.0)
+        assert b == {1: 1.0}
         validate_belief(b)
+        assert point_mass(3, 3) == {}
+        with pytest.raises(ModelError):
+            validate_belief(point_mass(3, 3))
 
     def test_invalid_belief(self):
         with pytest.raises(ModelError):
-            validate_belief((0.5, 0.2))
+            validate_belief({0: 0.5, 1: 0.2})
+
+    @pytest.mark.parametrize("b", [
+        {0: math.nan, 1: 1.0},
+        {0: 1.0, 1: math.nan},
+        {0: math.inf},
+        {0: 1.0, 1: math.inf, 2: -math.inf},
+    ])
+    def test_non_finite_belief_rejected(self, b):
+        with pytest.raises(ModelError):
+            validate_belief(b)
 
     def test_bayes_update_by_hand(self):
         # Two hidden states, noisy sensor: O(correct) = 0.9.
@@ -247,7 +309,7 @@ class TestBeliefs:
                 (1, 0): ((0, 0.1), (1, 0.9)),
             },
         )
-        b = belief_update(p, (0.5, 0.5), 0, 0)
+        b = belief_update(p, {0: 0.5, 1: 0.5}, 0, 0)
         assert b[0] == pytest.approx(0.9)
         assert b[1] == pytest.approx(0.1)
         # Two consistent observations sharpen further: 0.81 / 0.82.
@@ -266,13 +328,13 @@ class TestBeliefs:
             observations={(0, 0): ((0, 1.0),)},
         )
         with pytest.raises(ImpossibleObservationError):
-            belief_update(p, (1.0,), 0, 1)
+            belief_update(p, {0: 1.0}, 0, 1)
 
     def test_fully_observable_update_is_point_mass(self):
         # Without an observation model the observation names the successor.
         p = coin_problem()
-        assert belief_update(p, point_mass(3, 0), 0, 2) == (0.0, 0.0, 1.0)
-        assert belief_update(p, (0.0, 0.5, 0.5), 1, 1) == (0.0, 1.0, 0.0)
+        assert belief_update(p, point_mass(3, 0), 0, 2) == {2: 1.0}
+        assert belief_update(p, {1: 0.5, 2: 0.5}, 1, 1) == {1: 1.0}
 
     def test_fully_observable_unreachable_successor(self):
         p = coin_problem()
@@ -280,6 +342,35 @@ class TestBeliefs:
             belief_update(p, point_mass(3, 0), 0, 0)
         with pytest.raises(ImpossibleObservationError):
             belief_update(p, point_mass(3, 1), 1, 2)
+
+    @pytest.mark.parametrize("observable", [False, True])
+    def test_sparse_update_matches_dense_reference(self, observable):
+        rng = random.Random(5)
+        for _ in range(300):
+            p = random_problem(rng) if observable else random_pomdp(rng)
+            n = p.n_states
+            support = rng.sample(range(n), rng.randint(1, n))
+            weights = [rng.random() + 0.05 for _ in support]
+            z = sum(weights)
+            b = {s: w / z for s, w in zip(support, weights)}
+            n_obs = n if observable else len(p.observation_labels)
+            for _ in range(4):
+                a = rng.choice(p.admissible[rng.choice(list(b))])
+                o = rng.randrange(n_obs)
+                dense = [b.get(s, 0.0) for s in range(n)]
+                try:
+                    want = dense_belief_update(p, dense, a, o)
+                except InadmissibleActionError:
+                    with pytest.raises(InadmissibleActionError):
+                        belief_update(p, b, a, o)
+                    break
+                if want is None:
+                    with pytest.raises(ImpossibleObservationError):
+                        belief_update(p, b, a, o)
+                    break
+                b = belief_update(p, b, a, o)
+                assert [b.get(s, 0.0) for s in range(n)] == want
+                assert all(x != 0.0 for x in b.values())
 
 
 class TestDeterministicValues:
