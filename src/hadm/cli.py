@@ -37,10 +37,15 @@ from .strategies import STRATEGIES, analytic_expectation, applicable_strategies,
 
 
 def _load_spec(arg: str):
-    if arg.startswith("builtin:"):
-        return builtin_scenario(int(arg.split(":", 1)[1]))
-    if arg.isdigit():
-        return builtin_scenario(int(arg))
+    if arg.startswith("builtin:") or arg.isdigit():
+        number = arg.split(":", 1)[-1]
+        try:
+            n = int(number)
+        except ValueError:
+            raise InvalidConfigError(
+                f"no built-in scenario {number!r}; choose 1-4"
+            ) from None
+        return builtin_scenario(n)
     return load_scenario_file(arg)
 
 
@@ -286,7 +291,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfigError, UnconstrainedSigmaError, FileNotFoundError) as exc:
+    except (InvalidConfigError, UnconstrainedSigmaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -2,10 +2,11 @@
 
 Time is event-driven: a state is taken at segment/activity boundaries
 and carries position, mission time, battery charge, motor temperature,
-activity status, and the terrain classes revealed so far.  Stochastic
-branches (terrain reveals, activity redo outcomes) are tagged with the
-scenario random variable they resolve, which is what lets a plant pin
-them to a hidden ground truth.
+activity status, and the terrain classes revealed so far.  Each
+stochastic row (a terrain reveal or an activity redo outcome) resolves
+one scenario random variable; ``CompiledScenario.outcomes`` names it and
+the value each successor stands for, so a plant can pin the row to a
+hidden ground truth.
 
 Branch-dependent energy costs and terminal values are attached as
 successor-dependent transition rewards, so realized per-step rewards
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import NamedTuple, Optional
 
 from ..errors import InvalidConfigError, ResourceLimitError
 from ..model import Problem, ValueTable
@@ -37,14 +38,13 @@ def _round(x):
     return round(x, 6)
 
 
-@dataclass(frozen=True)
-class RoverState:
+class RoverState(NamedTuple):
     """One compiled state: every component named, all units explicit."""
 
     position: str
     time_h: float = 0.0
-    battery_wh: float = None
-    temp_c: float = None
+    battery_wh: Optional[float] = None
+    temp_c: Optional[float] = None
     science: tuple = ()  # ((activity id, "todo"|"redo"|"done"), ...)
     terrain: tuple = ()  # ((region id, class or None), ...)
     status: str = OK
@@ -61,28 +61,15 @@ class RoverState:
                 return cls
         raise InvalidConfigError(f"unknown region {region_id!r}")
 
-    def replace(self, **kw):
-        data = {
-            "position": self.position,
-            "time_h": self.time_h,
-            "battery_wh": self.battery_wh,
-            "temp_c": self.temp_c,
-            "science": self.science,
-            "terrain": self.terrain,
-            "status": self.status,
-        }
-        data.update(kw)
-        return RoverState(**data)
-
     def with_science(self, act_id, new_status):
-        return self.replace(
+        return self._replace(
             science=tuple(
                 (aid, new_status if aid == act_id else st) for aid, st in self.science
             )
         )
 
     def with_terrain(self, region_id, cls):
-        return self.replace(
+        return self._replace(
             terrain=tuple(
                 (rid, cls if rid == region_id else c) for rid, c in self.terrain
             )
@@ -117,11 +104,10 @@ class RoverState:
         return out
 
 
-@dataclass(frozen=True)
-class _Branch:
+class _Branch(NamedTuple):
     state: RoverState
     prob: float
-    assign: Mapping  # rv name -> value ("" when deterministic)
+    assign: Optional[tuple] = None  # (rv name, value) when stochastic
     energy_wh: float = 0.0
 
 
@@ -129,8 +115,9 @@ class _Branch:
 class CompiledScenario:
     """A scenario compiled to a Problem plus the labeling metadata.
 
-    ``table`` holds the problem's optimal utilities once a ``hadm``
-    provider has solved it; later providers on this object reuse it.
+    ``table`` and ``route_choice`` hold the problem's optimal utilities
+    and the ``phm-commit`` route choice once a provider has computed them;
+    later providers on this object reuse them.
     """
 
     spec: ScenarioSpec
@@ -138,9 +125,10 @@ class CompiledScenario:
     states: list
     initial_state: int
     rv_defs: dict  # rv name -> {value: probability}
-    branches: dict  # (s, a) -> ((s2, p, {rv: value}), ...)
+    outcomes: dict  # stochastic (s, a) -> (rv, value per transitions row)
     action_index: dict  # action label -> action index
     table: ValueTable = field(default=None, init=False, repr=False, compare=False)
+    route_choice: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def action(self, label: str) -> int:
         if label not in self.action_index:
@@ -249,9 +237,9 @@ class _Compiler:
         done = all(st.science_status(a) == "done" for a in m.require_activities)
         if st.position == m.goal and done:
             if m.deadline_h is None or st.time_h <= m.deadline_h + _TOL:
-                return st.replace(status=COMPLETE)
+                return st._replace(status=COMPLETE)
         if m.deadline_h is not None and st.time_h >= m.deadline_h - _TOL:
-            return st.replace(status=DEADLINE_MISSED)
+            return st._replace(status=DEADLINE_MISSED)
         return st
 
     def terminal_value(self, st: RoverState) -> float:
@@ -309,7 +297,7 @@ class _Compiler:
     def expand(self, st: RoverState, a: int):
         label = self.action_labels[a]
         if label == "stay":
-            return [_Branch(st, 1.0, {})]
+            return [_Branch(st, 1.0)]
         if label.startswith("drive:"):
             return self._drive(st, self.spec.segment(label.split(":", 1)[1]))
         if label.startswith("science:"):
@@ -323,15 +311,15 @@ class _Compiler:
     def _terrain_branches(self, st, seg):
         """(probability, class, rv assignment, state-with-reveal) per branch."""
         if seg.terrain is not None or seg.region is None:
-            return [(1.0, seg.terrain, {}, st)]
+            return [(1.0, seg.terrain, None, st)]
         cls = st.terrain_class(seg.region)
         if cls is not None:
-            return [(1.0, cls, {}, st)]
+            return [(1.0, cls, None, st)]
         rv = f"terrain:{seg.region}"
         region = self.spec.region(seg.region)
         self.rv_defs.setdefault(rv, dict(region.classes))
         return [
-            (p, c, {rv: c}, st.with_terrain(seg.region, c))
+            (p, c, (rv, c), st.with_terrain(seg.region, c))
             for c, p in region.classes.items()
         ]
 
@@ -339,7 +327,7 @@ class _Compiler:
         spec = self.spec
         out = []
         for prob, cls, assign, revealed in self._terrain_branches(st, seg):
-            nxt = revealed.replace(
+            nxt = revealed._replace(
                 position=seg.to, time_h=_round(st.time_h + seg.duration_h)
             )
             energy = 0.0
@@ -353,19 +341,19 @@ class _Compiler:
                 if st.battery_wh is not None:
                     b = _round(min(st.battery_wh - energy, spec.battery.capacity_wh))
                     stranded = b < -_TOL
-                    nxt = nxt.replace(battery_wh=b)
+                    nxt = nxt._replace(battery_wh=b)
             elif st.battery_wh is not None:
                 b, stranded = _integrate_battery(
                     spec, st.battery_wh, st.time_h, seg.duration_h, "drive"
                 )
-                nxt = nxt.replace(battery_wh=b)
+                nxt = nxt._replace(battery_wh=b)
             if st.temp_c is not None and seg.heats_motor:
                 t2 = st.temp_c + spec.thermal.heat_rate_c_per_h * seg.duration_h
-                nxt = nxt.replace(temp_c=_round(t2))
+                nxt = nxt._replace(temp_c=_round(t2))
                 if t2 >= spec.thermal.limit_c - _TOL:
-                    nxt = nxt.replace(status=MOTOR_FAILURE)
+                    nxt = nxt._replace(status=MOTOR_FAILURE)
             if stranded and nxt.status == OK:
-                nxt = nxt.replace(status=STRANDED)
+                nxt = nxt._replace(status=STRANDED)
             out.append(_Branch(self._settle(nxt), prob, assign, energy))
         return out
 
@@ -376,12 +364,12 @@ class _Compiler:
         b, stranded = _integrate_battery(
             spec, st.battery_wh, st.time_h, act.duration_h, act.id
         )
-        base = st.replace(time_h=t2, battery_wh=b)
+        base = st._replace(time_h=t2, battery_wh=b)
         if stranded:
-            base = base.replace(status=STRANDED)
+            base = base._replace(status=STRANDED)
         if status == "redo" or act.redo_prob <= 0.0:
             nxt = base.with_science(act.id, "done")
-            return [_Branch(self._settle(nxt), 1.0, {}, 0.0)]
+            return [_Branch(self._settle(nxt), 1.0)]
         rv = f"redo:{act.id}"
         self.rv_defs.setdefault(
             rv, {"false": 1.0 - act.redo_prob, "true": act.redo_prob}
@@ -389,8 +377,8 @@ class _Compiler:
         ok = self._settle(base.with_science(act.id, "done"))
         redo = self._settle(base.with_science(act.id, "redo"))
         return [
-            _Branch(ok, 1.0 - act.redo_prob, {rv: "false"}, 0.0),
-            _Branch(redo, act.redo_prob, {rv: "true"}, 0.0),
+            _Branch(ok, 1.0 - act.redo_prob, (rv, "false")),
+            _Branch(redo, act.redo_prob, (rv, "true")),
         ]
 
     def _charge(self, st):
@@ -398,27 +386,27 @@ class _Compiler:
         duration = (
             spec.battery.capacity_wh - st.battery_wh
         ) / spec.battery.charge_rate_w
-        nxt = st.replace(
+        nxt = st._replace(
             time_h=_round(st.time_h + duration),
             battery_wh=spec.battery.capacity_wh,
         )
-        return [_Branch(self._settle(nxt), 1.0, {})]
+        return [_Branch(self._settle(nxt), 1.0)]
 
     def _cool(self, st):
         spec = self.spec
         d = spec.actions.cool_grid_h
-        nxt = st.replace(time_h=_round(st.time_h + d))
+        nxt = st._replace(time_h=_round(st.time_h + d))
         if st.temp_c is not None:
             t2 = motor_temp_after(spec, st.temp_c, 0.0, d)
-            nxt = nxt.replace(temp_c=_round(t2))
+            nxt = nxt._replace(temp_c=_round(t2))
         if st.battery_wh is not None and spec.power is not None:
             b, stranded = _integrate_battery(
                 spec, st.battery_wh, st.time_h, d, "idle"
             )
-            nxt = nxt.replace(battery_wh=b)
+            nxt = nxt._replace(battery_wh=b)
             if stranded:
-                nxt = nxt.replace(status=STRANDED)
-        return [_Branch(self._settle(nxt), 1.0, {})]
+                nxt = nxt._replace(status=STRANDED)
+        return [_Branch(self._settle(nxt), 1.0)]
 
 
 def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledScenario:
@@ -428,7 +416,7 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
     def finalize(st):
         # A dead end with the mission incomplete absorbs as "stuck".
         if st.status == OK and not comp.admissible_actions(st):
-            return st.replace(status=STUCK)
+            return st._replace(status=STUCK)
         return st
 
     s0 = finalize(comp.initial_state())
@@ -439,7 +427,7 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
     transitions = {}
     rewards = {}
     transition_rewards = {}
-    branches = {}
+    outcomes = {}
     terminal = set()
 
     while queue:
@@ -451,8 +439,8 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
         admissible[s] = tuple(acts)
         for a in acts:
             rows = []
-            tagged = []
-            for br in comp.expand(st, a):
+            expanded = comp.expand(st, a)
+            for br in expanded:
                 s2_state = finalize(br.state)
                 if s2_state not in index:
                     if len(states) >= max_states:
@@ -472,10 +460,11 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
                 if rho != 0.0:
                     transition_rewards[(s, a, s2)] = rho
                 rows.append((s2, br.prob))
-                tagged.append((s2, br.prob, dict(br.assign)))
             transitions[(s, a)] = tuple(rows)
             rewards[(s, a)] = 0.0
-            branches[(s, a)] = tuple(tagged)
+            if expanded[0].assign is not None:
+                rv = expanded[0].assign[0]
+                outcomes[(s, a)] = (rv, tuple(br.assign[1] for br in expanded))
 
     n = len(states)
     labels = tuple(st.label() for st in states)
@@ -497,6 +486,6 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
         states=states,
         initial_state=0,
         rv_defs=comp.rv_defs,
-        branches=branches,
+        outcomes=outcomes,
         action_index=comp.action_index,
     )

@@ -3,14 +3,15 @@
 A plant owns a hidden assignment of every scenario random variable
 (terrain classes, activity redo outcomes), sampled from a seeded
 generator at construction or pinned by explicit overrides.  Stepping the
-plant resolves stochastic branches against that assignment, so re-running
-with the same seed reproduces the trace exactly.
+plant takes, in each stochastic row, the successor that stands for the
+assigned value of the row's variable, so re-running with the same seed
+reproduces the trace exactly.
 """
 from __future__ import annotations
 
 import random
 
-from ..errors import InadmissibleActionError, InvalidConfigError
+from ..errors import InvalidConfigError
 from ..shm import SensorObservation
 from .compiler import CompiledScenario
 
@@ -31,19 +32,22 @@ def resolve_overrides(compiled: CompiledScenario, overrides) -> dict:
                     f"override {name!r} has no variant {value!r}; "
                     f"choose from {sorted(aliases[name])}"
                 )
-            out.update(expansion)
+            pairs = expansion.items()
         elif name in compiled.rv_defs:
-            if str(value) not in compiled.rv_defs[name]:
-                raise InvalidConfigError(
-                    f"{name!r} cannot be {value!r}; "
-                    f"choose from {sorted(compiled.rv_defs[name])}"
-                )
-            out[name] = str(value)
+            pairs = ((name, str(value)),)
         else:
             raise InvalidConfigError(
                 f"unknown ground-truth variable {name!r}; declared: "
                 f"{sorted(set(compiled.rv_defs) | set(aliases))}"
             )
+        for rv, v in pairs:
+            # Plant.step needs every value to name one successor.
+            if rv in compiled.rv_defs and v not in compiled.rv_defs[rv]:
+                raise InvalidConfigError(
+                    f"{rv!r} cannot be {v!r}; "
+                    f"choose from {sorted(compiled.rv_defs[rv])}"
+                )
+            out[rv] = v
     return out
 
 
@@ -84,18 +88,13 @@ class Plant:
         """Execute an action; returns (observation, realized reward)."""
         s = self.state
         self.problem.require_admissible(s, action)
-        chosen = None
-        for s2, p, assign in self.compiled.branches[(s, action)]:
-            if all(self.assignments.get(rv) == val for rv, val in assign.items()):
-                if chosen is not None:
-                    raise InvalidConfigError(
-                        "ambiguous branch resolution; ground truth underdetermined"
-                    )
-                chosen = s2
-        if chosen is None:
-            raise InadmissibleActionError(
-                "no transition branch consistent with the ground truth"
-            )
+        rows = self.problem.transitions[(s, action)]
+        outcome = self.compiled.outcomes.get((s, action))
+        if outcome is None:
+            chosen = rows[0][0]
+        else:
+            rv, values = outcome
+            chosen = rows[values.index(self.assignments[rv])][0]
         reward = self.problem.rewards[(s, action)] + self.problem.transition_rewards.get(
             (s, action, chosen), 0.0
         )

@@ -527,7 +527,7 @@ def load_scenario_file(path) -> ScenarioSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidConfigError(f"{path}: not valid JSON ({exc})") from exc
     return load_scenario(doc)
 

@@ -8,8 +8,8 @@ Four strategies share one provider interface:
   runs detection/diagnosis/prognosis on every observation, applies
   mitigation rules, and aborts when operational constraints block the
   plan.  Deliberately myopic.
-* ``phm-commit``: evaluates each declared route open-loop once, commits
-  to the best, and never revisits the choice.
+* ``phm-commit``: evaluates each declared route open-loop once per
+  compiled scenario, commits to the best, and never revisits the choice.
 * ``fixed-plan``: executes the nominal plan verbatim.
 """
 from __future__ import annotations
@@ -80,19 +80,17 @@ class PhmCommitProvider:
     """Commits once to the route with the best open-loop expectation.
 
     Interior decisions a route leaves open ("uniform") are drawn from a
-    seeded generator.  With ``recommit_each_step`` the route comparison is
-    re-run from the current position every step; committed moves already
-    taken are sunk, so re-running cannot switch branches, which is the
-    point the comparison strategy exists to make.
+    seeded generator.  The choice depends only on the compiled scenario:
+    the first decision of the first provider on it makes the choice and
+    stores it there (``compiled.route_choice``); every later provider
+    commits to the stored route.
     """
 
-    def __init__(self, compiled: CompiledScenario, seed: int = 0,
-                 recommit_each_step: bool = False):
+    def __init__(self, compiled: CompiledScenario, seed: int = 0):
         if not compiled.spec.routes:
             raise InvalidConfigError("scenario declares no routes")
         self.compiled = compiled
         self.rng = random.Random(seed)
-        self.recommit_each_step = recommit_each_step
         self.route_id = None
         self.expectations = None
 
@@ -100,19 +98,14 @@ class PhmCommitProvider:
     def applicable(spec) -> bool:
         return spec.kind == "rover" and bool(spec.routes)
 
-    def _commit(self, problem):
-        policies = {
-            r.id: self.compiled.route_policy(r.id) for r in self.compiled.spec.routes
-        }
-        self.route_id, self.expectations = phm_route_choice(problem, policies)
-
     def decide(self, problem, belief, observation, step):
-        if self.route_id is None or self.recommit_each_step:
-            chosen = self.route_id
-            self._commit(problem)
-            if chosen is not None:
-                # A committed branch stays committed between re-runs.
-                self.route_id = chosen
+        if self.route_id is None:
+            compiled = self.compiled
+            if compiled.route_choice is None:
+                compiled.route_choice = phm_route_choice(compiled.problem, {
+                    r.id: compiled.route_policy(r.id) for r in compiled.spec.routes
+                })
+            self.route_id, self.expectations = compiled.route_choice
         route = None
         for r in self.compiled.spec.routes:
             if r.id == self.route_id:
@@ -226,41 +219,43 @@ class ShmBaselineProvider:
     def decide(self, problem, belief, observation, step):
         spec = self.compiled.spec
         s = most_likely_state(belief)
-        if self.cooling:
-            temp = observation.get("motor_temp_c")
-            if temp is not None and temp > spec.thermal.nominal_c + 1e-9:
-                return self._cool_action(problem, s)
-            self.cooling = False
-        recovery = self._run_pipeline(problem, s, observation, step)
-        if recovery is not None:
-            return recovery
-        position = self.compiled.states[s].position
-        if self.aborting:
-            move = spec.abort_plan.get(position)
-            if move is None:
+        # Moving on to the abort plan or past a done activity reruns it all.
+        while True:
+            if self.cooling:
+                temp = observation.get("motor_temp_c")
+                if temp is not None and temp > spec.thermal.nominal_c + 1e-9:
+                    return self._cool_action(problem, s)
+                self.cooling = False
+            recovery = self._run_pipeline(problem, s, observation, step)
+            if recovery is not None:
+                return recovery
+            position = self.compiled.states[s].position
+            if self.aborting:
+                move = spec.abort_plan.get(position)
+                if move is None:
+                    return None
+                a = self.compiled.action(move)
+                return a if a in problem.admissible[s] else None
+            if self.pos >= len(self.plan):
                 return None
-            a = self.compiled.action(move)
-            return a if a in problem.admissible[s] else None
-        if self.pos >= len(self.plan):
-            return None
-        a = self.plan[self.pos]
-        label = problem.action_labels[a]
-        if label.startswith("drive:") and self.allowed_grades is not None:
-            seg = spec.segment(label.split(":", 1)[1])
-            if seg.grade not in self.allowed_grades:
-                self.aborting = True
-                return self.decide(problem, belief, observation, step)
-        if label.startswith("science:"):
-            # Hold the plan position until the activity is observed done.
-            act_id = label.split(":", 1)[1]
-            if observation.get(f"science:{act_id}") == "done":
-                self.pos += 1
-                return self.decide(problem, belief, observation, step)
-            return a if a in problem.admissible[s] else None
-        if a not in problem.admissible[s]:
-            return None
-        self.pos += 1
-        return a
+            a = self.plan[self.pos]
+            label = problem.action_labels[a]
+            if label.startswith("drive:") and self.allowed_grades is not None:
+                seg = spec.segment(label.split(":", 1)[1])
+                if seg.grade not in self.allowed_grades:
+                    self.aborting = True
+                    continue
+            if label.startswith("science:"):
+                # Hold the plan position until the activity is observed done.
+                act_id = label.split(":", 1)[1]
+                if observation.get(f"science:{act_id}") == "done":
+                    self.pos += 1
+                    continue
+                return a if a in problem.admissible[s] else None
+            if a not in problem.admissible[s]:
+                return None
+            self.pos += 1
+            return a
 
 
 STRATEGIES = {

@@ -20,6 +20,22 @@ class TestExitCodes:
     def test_missing_file_is_config_error(self, capsys):
         assert run_cli(["run", "--scenario", "/nonexistent/path.json"]) == 2
 
+    def test_non_numeric_builtin_is_config_error(self, capsys):
+        assert run_cli(["run", "--scenario", "builtin:x"]) == 2
+        assert capsys.readouterr().err.startswith("error: no built-in scenario 'x'")
+
+    def test_directory_path_is_config_error(self, capsys, tmp_path):
+        assert run_cli(["run", "--scenario", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert run_cli(["run", "--scenario", "builtin:2", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_file_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff{}")
+        assert run_cli(["run", "--scenario", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_bad_override_is_config_error(self, capsys):
         assert run_cli(
             ["run", "--scenario", "builtin:2", "--set", "weather=sunny"]

@@ -1,5 +1,7 @@
 """Rover domain tests: scenario loading, compilation, plant simulation."""
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +236,13 @@ class TestPlant:
         with pytest.raises(InvalidConfigError):
             Plant(crater, seed=0, overrides={"terrain": "muddy"})
 
+    def test_alias_to_an_undeclared_value_rejected(self):
+        doc = builtin_scenario_dict(2)
+        doc["override_aliases"]["terrain"]["muddy-left"] = {"terrain:left": "muddy"}
+        compiled = compile_scenario(load_scenario(doc))
+        with pytest.raises(InvalidConfigError, match="'terrain:left' cannot be"):
+            Plant(compiled, seed=0, overrides={"terrain": "muddy-left"})
+
     def test_step_follows_pinned_branch(self, crater):
         plant = Plant(crater, seed=0, overrides={"terrain": "difficult-both"})
         obs, reward = plant.step(crater.action("drive:L1"))
@@ -279,3 +288,38 @@ class TestPlant:
         assert obs.channels["state_index"] == plant.state
         assert obs.channels["waypoint"] == "wp0"
         assert obs.channels["battery_wh"] == 1100
+
+
+def _ladder(k):
+    path = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    return load_scenario(ladder.scenario(k, seed=1))
+
+
+@pytest.mark.parametrize("load", [
+    pytest.param(lambda: builtin_scenario(2), id="builtin:2"),
+    pytest.param(lambda: builtin_scenario(3), id="builtin:3"),
+    pytest.param(lambda: builtin_scenario(4), id="builtin:4"),
+    pytest.param(lambda: _ladder(3), id="ladder-k3"),
+])
+def test_pinned_outcome_shows_in_the_successor(load):
+    """Every value of a stochastic row's variable, pinned in a plant, leads
+    to a successor whose own components show that value."""
+    compiled = compile_scenario(load())
+    assert bool(compiled.outcomes) == bool(compiled.rv_defs)
+    for (s, a), (rv, values) in compiled.outcomes.items():
+        assert sorted(values) == sorted(compiled.rv_defs[rv])
+        kind, name = rv.split(":", 1)
+        for value in compiled.rv_defs[rv]:
+            plant = Plant(compiled, seed=0, overrides={rv: value})
+            plant.state = s
+            plant.step(a)
+            reached = compiled.states[plant.state]
+            if kind == "terrain":
+                assert reached.terrain_class(name) == value
+            else:
+                assert kind == "redo"
+                want = {"false": "done", "true": "redo"}[value]
+                assert reached.science_status(name) == want

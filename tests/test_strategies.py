@@ -2,10 +2,17 @@
 import pytest
 
 import hadm.loop
+import hadm.strategies
 from hadm.cli import main
 from hadm.errors import InvalidConfigError
 from hadm.loop import run_loop
-from hadm.rover import Plant, builtin_scenario, compile_scenario
+from hadm.rover import (
+    Plant,
+    builtin_scenario,
+    builtin_scenario_dict,
+    compile_scenario,
+    load_scenario,
+)
 from hadm.strategies import (
     STRATEGIES,
     analytic_expectation,
@@ -66,14 +73,29 @@ class TestRouteCommitStrategy:
         assert crater.states[plant.state].status == "stranded"
         assert crater.states[plant.state].battery_wh == -100.0
 
-    def test_commit_survives_recommitment(self, crater):
-        # Re-running the comparison mid-route cannot undo the sunk branch.
-        plant = Plant(crater, seed=0, overrides={"terrain": "difficult-both"})
-        provider = STRATEGIES["phm-commit"](crater, seed=0,
-                                            recommit_each_step=True)
-        trace = run_loop(plant, crater.problem, provider)
-        assert provider.route_id == "left"
-        assert crater.states[plant.state].status == "stranded"
+    def test_compare_chooses_the_route_once(self, monkeypatch, capsys):
+        calls = []
+        choose = hadm.strategies.phm_route_choice
+
+        def counting(problem, *args, **kwargs):
+            calls.append(problem)
+            return choose(problem, *args, **kwargs)
+
+        monkeypatch.setattr(hadm.strategies, "phm_route_choice", counting)
+        assert main(["compare", "--scenario", "builtin:2", "--strategies",
+                     "phm-commit", "--rollouts", "20"]) == 0
+        assert len(calls) == 1
+
+    def test_providers_share_one_choice(self):
+        compiled = compile_scenario(builtin_scenario(2))
+        one = make_provider("phm-commit", compiled)
+        # Building a provider evaluates no route; its first decision does.
+        assert compiled.route_choice is None
+        _, two, _ = execute(compiled, "phm-commit", seed=1)
+        assert compiled.route_choice == ("left", two.expectations)
+        assert one.route_id is None
+        execute(compiled, "phm-commit", seed=2)
+        assert compiled.route_choice[1] is two.expectations
 
     def test_moderate_truth_completes(self, crater):
         trace, _, plant = execute(
@@ -170,6 +192,22 @@ class TestBaselineStrategy:
         base, _, _ = execute(hill, "shm-baseline")
         unified, _, _ = execute(hill, "hadm")
         assert base.total < unified.total
+
+    def test_long_run_of_finished_activities(self, recharge):
+        # 1500 repeats of an activity that is already done are skipped in
+        # one decision, as the single plan entry is.
+        doc = builtin_scenario_dict(3)
+        plan = doc["nominal_plan"]
+        i = plan.index("science:sci1") + 1
+        doc["nominal_plan"] = plan[:i] + ["science:sci1"] * 1500 + plan[i:]
+        long = compile_scenario(load_scenario(doc))
+        for redo in ("false", "true"):
+            got, _, plant = execute(long, "shm-baseline", overrides={"redo": redo})
+            want, _, want_plant = execute(recharge, "shm-baseline",
+                                          overrides={"redo": redo})
+            assert got.actions() == want.actions()
+            assert got.total == want.total
+            assert plant.state == want_plant.state
 
     def test_follows_plan_without_rules(self, crater):
         trace, _, plant = execute(
