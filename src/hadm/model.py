@@ -292,6 +292,52 @@ def _sweep(problem: Problem, u: Mapping) -> dict:
     }
 
 
+def _backward_order(problem: Problem):
+    """Non-terminal states children first, and the longest remaining path
+    of any state counted in actions; ``None`` when the successor graph
+    over the non-terminal states has a cycle.
+
+    A depth-first walk on an explicit stack, so long chains do not hit
+    the recursion limit.
+    """
+    terminal = problem.terminal
+    transitions = problem.transitions
+
+    def children(s):
+        return [
+            s2
+            for a in problem.admissible[s]
+            for s2, _ in transitions[(s, a)]
+            if s2 not in terminal
+        ]
+
+    depth = {}  # finished state -> longest remaining path
+    order = []
+    for root in range(problem.n_states):
+        if root in terminal or root in depth:
+            continue
+        kids = children(root)
+        stack = [(root, kids, iter(kids))]
+        on_path = {root}
+        while stack:
+            s, kids, pending = stack[-1]
+            for s2 in pending:
+                if s2 in depth:
+                    continue
+                if s2 in on_path:
+                    return None
+                on_path.add(s2)
+                grandkids = children(s2)
+                stack.append((s2, grandkids, iter(grandkids)))
+                break
+            else:
+                stack.pop()
+                on_path.discard(s)
+                depth[s] = 1 + max((depth[s2] for s2 in kids), default=0)
+                order.append(s)
+    return order, max(depth.values(), default=0)
+
+
 def value_iterate(
     problem: Problem,
     horizon: int = None,
@@ -307,6 +353,14 @@ def value_iterate(
     values the final action alone, and the H after it are the sweeps
     counted in ``iterations`` and ``residual_history``.  With
     ``return_stages`` the table after every backup is returned too.
+
+    With a horizon and without ``return_stages``, a problem whose
+    non-terminal states form no cycle and whose longest path takes at
+    most H+1 actions is solved by one backward pass instead: each state
+    is backed up once, children first, with terminals at 0.0.  Every
+    state then already holds its value after H+1 sweeps, bit for bit.
+    That table reports ``iterations=1``, ``residual=0.0`` and an empty
+    ``residual_history``.
     """
     if horizon is None and epsilon is None:
         if problem.horizon is not None:
@@ -315,6 +369,15 @@ def value_iterate(
             epsilon = 1e-9
     if epsilon is not None and horizon is None and problem.gamma >= 1.0:
         raise InvalidConfigError("residual stopping requires gamma < 1")
+
+    if horizon is not None and not return_stages:
+        backward = _backward_order(problem)
+        if backward is not None and backward[1] <= horizon + 1:
+            u = dict.fromkeys(problem.terminal, 0.0)
+            for s in backward[0]:
+                u[s] = max(q_value(problem, s, a, u) for a in problem.admissible[s])
+            values = {s: u[s] for s in range(problem.n_states)}  # sweeps' key order
+            return ValueTable(values, iterations=1, residual=0.0)
 
     u = dict.fromkeys(range(problem.n_states), 0.0)
     stages = []

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import IO
 
-import numpy as np
-
 from .errors import InvalidConfigError, ResourceLimitError, UnconstrainedSigmaError
 
 _TOL = 1e-9
@@ -194,6 +192,8 @@ def monte_carlo_eol(
     seed: int = 0,
 ):
     """Seeded Monte Carlo estimate of the first-crossing distribution."""
+    import numpy as np  # only this estimator needs it; loading it costs every command
+
     rng = np.random.default_rng(seed)
     start = req.rho_p * model.s0
     h = req.horizon

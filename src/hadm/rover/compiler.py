@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from ..errors import InvalidConfigError, ResourceLimitError
 from ..model import Problem, ValueTable
@@ -117,7 +118,8 @@ class CompiledScenario:
 
     ``table`` and ``route_choice`` hold the problem's optimal utilities
     and the ``phm-commit`` route choice once a provider has computed them;
-    later providers on this object reuse them.
+    later providers on this object reuse them.  ``channel_cache`` holds
+    each state's observation channels once a plant has visited it.
     """
 
     spec: ScenarioSpec
@@ -129,20 +131,30 @@ class CompiledScenario:
     action_index: dict  # action label -> action index
     table: ValueTable = field(default=None, init=False, repr=False, compare=False)
     route_choice: tuple = field(default=None, init=False, repr=False, compare=False)
+    channel_cache: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def action(self, label: str) -> int:
         if label not in self.action_index:
             raise InvalidConfigError(f"unknown action {label!r}")
         return self.action_index[label]
 
-    def channels(self, s: int) -> dict:
-        """Observation channels exposed by the plant for state ``s``."""
-        st = self.states[s]
-        ch = dict(st.components())
-        ch["state_index"] = s
-        ch["at_charge_point"] = (
-            st.status == OK and self.spec.waypoint(st.position).charge_point
-        )
+    def channels(self, s: int) -> Mapping:
+        """Observation channels exposed by the plant for state ``s``.
+
+        Built on the first request and shared by every later one, so the
+        mapping is read-only.
+        """
+        ch = self.channel_cache.get(s)
+        if ch is None:
+            st = self.states[s]
+            built = dict(st.components())
+            built["state_index"] = s
+            built["at_charge_point"] = (
+                st.status == OK and self.spec.waypoint(st.position).charge_point
+            )
+            ch = self.channel_cache[s] = MappingProxyType(built)
         return ch
 
     def route_policy(self, route_id: str):

@@ -41,8 +41,13 @@ def resolve_overrides(compiled: CompiledScenario, overrides) -> dict:
                 f"{sorted(set(compiled.rv_defs) | set(aliases))}"
             )
         for rv, v in pairs:
+            if rv not in compiled.rv_defs:
+                raise InvalidConfigError(
+                    f"override {name!r} sets unknown ground-truth variable "
+                    f"{rv!r}; declared: {sorted(compiled.rv_defs)}"
+                )
             # Plant.step needs every value to name one successor.
-            if rv in compiled.rv_defs and v not in compiled.rv_defs[rv]:
+            if v not in compiled.rv_defs[rv]:
                 raise InvalidConfigError(
                     f"{rv!r} cannot be {v!r}; "
                     f"choose from {sorted(compiled.rv_defs[rv])}"

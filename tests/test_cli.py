@@ -41,6 +41,26 @@ class TestExitCodes:
             ["run", "--scenario", "builtin:2", "--set", "weather=sunny"]
         ) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--strategy", "hadm"],
+        ["run", "--strategy", "phm-commit"],
+        ["compare", "--rollouts", "1"],
+    ])
+    def test_alias_to_an_unknown_variable_is_config_error(
+        self, capsys, tmp_path, command
+    ):
+        from hadm.rover import builtin_scenario_dict
+
+        doc = builtin_scenario_dict(2)
+        doc["override_aliases"]["terrain"]["ghost"] = {"terrain:nowhere": "x"}
+        path = tmp_path / "ghost.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [*command, "--scenario", str(path), "--set", "terrain=ghost"]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "'terrain:nowhere'" in err
+        assert "['terrain:left', 'terrain:right']" in err
+
     def test_malformed_override_is_config_error(self, capsys):
         assert run_cli(["run", "--scenario", "builtin:2", "--set", "nopair"]) == 2
 

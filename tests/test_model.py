@@ -1,10 +1,15 @@
 """Core decision-problem tests: construction, solvers, oracles."""
 import dataclasses
 import itertools
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hadm.cli import main as cli_main
 
 from hadm.errors import (
     ImpossibleObservationError,
@@ -29,6 +34,7 @@ from hadm.model import (
     validate_belief,
     value_iterate,
 )
+from hadm.rover import builtin_scenario_dict, compile_scenario, load_scenario
 
 
 def chain_problem():
@@ -656,3 +662,158 @@ class TestOpenAndClosedLoop:
         p = chain_problem()
         with pytest.raises(InvalidConfigError):
             evaluate_policy(p, [Policy(actions={0: 0, 1: 0, 2: 1})], t=1)
+
+
+# Values that stress the bit-for-bit agreement of the two solver paths:
+# signed zeros, exact small numbers and arbitrary finite floats.
+_amounts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -2.5]),
+    st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+)
+# 5e-324 makes gamma * (negative sum) round to -0.0.
+_gammas = st.one_of(
+    st.sampled_from([1.0, 0.0, 0.5, 0.9, 5e-324]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+def reference_depth(problem):
+    """Longest path from any state in actions, terminals counting 0, by
+    relaxation; None when the non-terminal states form a cycle."""
+    depth = dict.fromkeys(range(problem.n_states), 0)
+    for _ in range(problem.n_states + 1):
+        nxt = {
+            s: 0 if problem.is_terminal(s) else 1 + max(
+                depth[s2]
+                for a in problem.admissible[s]
+                for s2, _ in problem.transitions[(s, a)]
+            )
+            for s in range(problem.n_states)
+        }
+        if nxt == depth:
+            return max(depth.values())
+        depth = nxt
+    return None
+
+
+@st.composite
+def dispatch_cases(draw):
+    """(problem, horizon) on both sides of value_iterate's dispatch.
+
+    ``dag`` and ``chain`` problems only move to higher state indices, the
+    chain by one or two at a time so that its longest path is long;
+    ``cyclic`` problems may move anywhere.  Terminals, zero-probability
+    successors, arrival rewards and discounting are all drawn, and the
+    horizon falls on either side of the longest path.
+    """
+    shape = draw(st.sampled_from(["dag", "cyclic", "chain"]))
+    n = draw(st.integers(2, 30 if shape == "chain" else 7))
+    m = draw(st.integers(1, 3))
+    terminal = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    if shape != "cyclic":
+        terminal.add(n - 1)
+    admissible, transitions, rewards, transition_rewards = [], {}, {}, {}
+    for s in range(n):
+        if s in terminal:
+            admissible.append((0,))
+            transitions[(s, 0)] = ((s, 1.0),)
+            rewards[(s, 0)] = draw(st.sampled_from([0.0, -0.0]))
+            if draw(st.booleans()):
+                transition_rewards[(s, 0, s)] = draw(st.sampled_from([0.0, -0.0]))
+            continue
+        acts = tuple(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))))
+        admissible.append(acts)
+        if shape == "cyclic":
+            targets = range(n)
+        elif shape == "dag":
+            targets = range(s + 1, n)
+        else:
+            targets = range(s + 1, min(n, s + 3))
+        for a in acts:
+            succs = draw(st.lists(st.sampled_from(targets), min_size=1,
+                                  max_size=3, unique=True))
+            weights = [draw(st.integers(0, 4)) for _ in succs]
+            weights[0] += 1
+            z = sum(weights)
+            transitions[(s, a)] = tuple((s2, w / z) for s2, w in zip(succs, weights))
+            rewards[(s, a)] = draw(_amounts)
+            for s2 in succs:
+                if draw(st.booleans()):
+                    transition_rewards[(s, a, s2)] = draw(_amounts)
+    horizon = draw(st.integers(0, n + 2))
+    problem = Problem(
+        state_labels=tuple(f"s{i}" for i in range(n)),
+        action_labels=tuple(f"a{i}" for i in range(m)),
+        admissible=tuple(admissible),
+        transitions=transitions,
+        rewards=rewards,
+        terminal=frozenset(terminal),
+        gamma=draw(_gammas),
+        horizon=horizon,
+        transition_rewards=transition_rewards,
+    )
+    return problem, horizon
+
+
+def value_bits(table):
+    return [(s, v.hex()) for s, v in table.values.items()]
+
+
+class TestSolverDispatch:
+    @settings(max_examples=250, derandomize=True, database=None, deadline=None)
+    @given(dispatch_cases())
+    def test_backward_pass_equals_the_sweeps(self, case):
+        p, horizon = case
+        table = value_iterate(p, horizon)
+        swept, _ = value_iterate(p, horizon, return_stages=True)
+        assert value_bits(table) == value_bits(swept)
+        depth = reference_depth(p)
+        backward = depth is not None and depth <= horizon + 1
+        assert ((table.iterations, table.residual, table.residual_history)
+                == (1, 0.0, [])) == backward
+
+    def test_cycle_in_a_compiled_scenario_falls_back_to_the_sweeps(self, tmp_path):
+        # Zero-duration segments both ways between wp1 and wp2 give the
+        # states wp1|t=1.0 and wp2|t=1.0 a cycle.
+        doc = builtin_scenario_dict(2)
+        doc["segments"] += [
+            {"id": "X12", "from": "wp1", "to": "wp2", "duration_h": 0},
+            {"id": "X21", "from": "wp2", "to": "wp1", "duration_h": 0},
+        ]
+        p = compile_scenario(load_scenario(doc)).problem
+        assert p.n_states == 25
+        assert reference_depth(p) is None
+        table = value_iterate(p)
+        assert table.residual_history
+        swept, _ = value_iterate(p, return_stages=True)
+        assert value_bits(table) == value_bits(swept)
+        # Shuttling wp1 <-> wp2 is free, so the best plan pays for L1 and
+        # loiters until the horizon runs out.
+        assert table[0] == -(0.4 * 600 + 0.6 * 300)
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "values.csv"
+        assert cli_main(["solve", "--scenario", str(path),
+                         "--value-out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].endswith(",-420.0")
+
+    def test_long_chain_is_walked_without_recursion(self):
+        table = value_iterate(chain_of(3000))
+        assert (table.iterations, table.residual_history) == (1, [])
+        assert table[0] == 2999.0
+        assert table[2999] == 0.0
+
+    def test_long_ring_is_found_without_recursion(self):
+        n = 3000
+        p = Problem(
+            state_labels=tuple(f"s{i}" for i in range(n)),
+            action_labels=("go",),
+            admissible=((0,),) * n,
+            transitions={(s, 0): (((s + 1) % n, 1.0),) for s in range(n)},
+            rewards={(s, 0): 1.0 for s in range(n)},
+            gamma=1.0,
+            horizon=4,
+        )
+        table = value_iterate(p)
+        assert table.iterations == 4
+        assert set(table.values.values()) == {5.0}

@@ -1,8 +1,13 @@
 """Prognostics tests: closed forms, exact distribution, Monte Carlo."""
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import hadm
 
 from hadm.errors import InvalidConfigError, UnconstrainedSigmaError
 from hadm.prognostics import (
@@ -158,6 +163,30 @@ class TestMonteCarlo:
         assert a == b
         c = monte_carlo_eol(MODEL, req, n_samples=2000, seed=43)
         assert a != c
+
+    def test_pinned_draws(self):
+        req = PrognosisRequest(rho_p=1.0, horizon=16)
+        assert monte_carlo_eol(MODEL, req, n_samples=200, seed=42) == (
+            [(13, 0.01), (14, 0.065), (15, 0.125), (16, 0.22)],
+            0.58,
+        )
+
+    def test_command_line_import_leaves_numpy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(hadm.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])]
+        )
+        code = (
+            "import sys\n"
+            "import hadm.cli\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestValidation:

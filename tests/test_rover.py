@@ -289,6 +289,12 @@ class TestPlant:
         assert obs.channels["waypoint"] == "wp0"
         assert obs.channels["battery_wh"] == 1100
 
+    def test_channels_are_built_once_and_read_only(self, crater):
+        a = Plant(crater, seed=0).observe().channels
+        assert Plant(crater, seed=1).observe().channels is a
+        with pytest.raises(TypeError):
+            a["battery_wh"] = 0
+
 
 def _ladder(k):
     path = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
