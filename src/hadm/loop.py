@@ -48,13 +48,13 @@ def terminal_mass(belief: Belief, terminal) -> float:
     return sum(belief[s] for s in sorted(belief) if s in terminal)
 
 
-def belief_summary(problem: Problem, belief: Belief, top: int = 3):
-    """The ``top`` most likely states as (label, probability) pairs."""
+def belief_summary(problem: Problem, belief: Belief):
+    """The three most likely states as (label, probability) pairs."""
     ranked = sorted(
         ((p, s) for s, p in belief.items() if p > _TOL),
         key=lambda x: (-x[0], x[1]),
     )
-    return [(problem.state_labels[s], round(p, 9)) for p, s in ranked[:top]]
+    return [(problem.state_labels[s], round(p, 9)) for p, s in ranked[:3]]
 
 
 def observation_index(observation) -> int:
@@ -89,9 +89,8 @@ class OnlineExpectimaxProvider:
     toward the lowest action index.
     """
 
-    def __init__(self, problem: Problem, horizon: int = None):
-        self.problem = problem
-        self.table: ValueTable = value_iterate(problem, horizon=horizon)
+    def __init__(self, problem: Problem):
+        self.table: ValueTable = value_iterate(problem)
 
     def decide(self, problem: Problem, belief: Belief, observation, step: int):
         support = [s for s in sorted(belief) if belief[s] > _TOL]

@@ -19,9 +19,12 @@ from .errors import (
     InvalidConfigError,
     ModelError,
     NotDeterministicError,
+    ResourceLimitError,
 )
 
 PROB_TOL = 1e-9
+# Most values ``value_iterate(..., return_stages=True)`` may keep.
+MAX_STAGE_ENTRIES = 2 * 10**6
 
 # A belief maps each state index in its support to its probability;
 # states it leaves out have probability 0.
@@ -139,9 +142,6 @@ class ValueTable:
     def __getitem__(self, s):
         return self.values[s]
 
-    def get(self, s, default=None):
-        return self.values.get(s, default)
-
     def write_csv(self, problem: Problem, fh: IO):
         writer = csv.writer(fh)
         writer.writerow(["state", "value"])
@@ -218,10 +218,11 @@ def _missing(problem, s2):
 
 
 def plan_utility(problem: Problem, s0: int, plan: Plan) -> float:
-    """Cumulative reward of a fixed plan along a deterministic trajectory."""
+    """Discounted cumulative reward of a fixed plan along a deterministic
+    trajectory: R0 + gamma * (rho0 + R1 + gamma * (rho1 + ...))."""
     if problem.horizon is not None and len(plan) > problem.horizon + 1:
         raise InvalidConfigError("plan longer than horizon + 1")
-    s, total = s0, 0.0
+    s, total, disc = s0, 0.0, 1.0
     for a in plan:
         problem.require_admissible(s, a)
         row = problem.transitions[(s, a)]
@@ -231,9 +232,9 @@ def plan_utility(problem: Problem, s0: int, plan: Plan) -> float:
                 f"{problem.action_labels[a]!r})"
             )
         s2 = row[0][0]
-        total += problem.rewards[(s, a)] + problem.transition_rewards.get(
-            (s, a, s2), 0.0
-        )
+        rho = problem.transition_rewards.get((s, a, s2), 0.0)
+        total += disc * (problem.rewards[(s, a)] + problem.gamma * rho)
+        disc *= problem.gamma
         s = s2
     return total
 
@@ -352,7 +353,9 @@ def value_iterate(
     A horizon-H value is H+1 backups from the all-zero table: the first
     values the final action alone, and the H after it are the sweeps
     counted in ``iterations`` and ``residual_history``.  With
-    ``return_stages`` the table after every backup is returned too.
+    ``return_stages`` the table after every backup is returned too; a
+    horizon whose H+1 tables would hold more than ``MAX_STAGE_ENTRIES``
+    values raises ``ResourceLimitError`` before the first sweep.
 
     With a horizon and without ``return_stages``, a problem whose
     non-terminal states form no cycle and whose longest path takes at
@@ -369,6 +372,12 @@ def value_iterate(
             epsilon = 1e-9
     if epsilon is not None and horizon is None and problem.gamma >= 1.0:
         raise InvalidConfigError("residual stopping requires gamma < 1")
+    if return_stages and horizon is not None:
+        if (horizon + 1) * problem.n_states > MAX_STAGE_ENTRIES:
+            raise ResourceLimitError(
+                f"{horizon + 1} stage tables of {problem.n_states} states "
+                f"exceed {MAX_STAGE_ENTRIES} values"
+            )
 
     if horizon is not None and not return_stages:
         backward = _backward_order(problem)

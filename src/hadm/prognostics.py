@@ -6,7 +6,7 @@ deterministic and stochastic expected end-of-life (EOL), the prediction
 uncertainty sigma (their absolute difference), the exact first-crossing
 distribution by dynamic programming, a seeded Monte Carlo estimator, and
 the inversion that finds the latest prediction health satisfying a
-sigma budget.  All times are in prediction-step (dt) units.
+sigma budget.  All times are in prediction steps.
 """
 from __future__ import annotations
 
@@ -26,15 +26,13 @@ class DegradationModel:
 
     ``rate_nominal`` is the health lost per step under nominal
     degradation; with probability ``p_high`` a step additionally loses
-    ``epsilon``.  ``dt`` is the step duration in absolute time and only
-    matters when converting step counts to wall-clock time.
+    ``epsilon``.
     """
 
     rate_nominal: float
     p_high: float = 0.0
     epsilon: float = 0.0
     s0: float = 1.0
-    dt: float = 1.0
 
     def __post_init__(self):
         if self.s0 <= 0:
@@ -45,8 +43,6 @@ class DegradationModel:
             raise InvalidConfigError("epsilon must be non-negative")
         if not (0.0 <= self.p_high <= 1.0):
             raise InvalidConfigError("p_high must be in [0, 1]")
-        if self.dt <= 0:
-            raise InvalidConfigError("dt must be positive")
 
     @property
     def rate_high(self):
@@ -97,11 +93,11 @@ class PrognosisResult:
             return math.nan
         return sum(k * p for k, p in self.distribution) / mass
 
-    def write_csv(self, fh: IO, dt: float = 1.0):
+    def write_csv(self, fh: IO):
         writer = csv.writer(fh)
         writer.writerow(["step", "time", "probability"])
         for k, p in self.distribution:
-            writer.writerow([k, repr(k * dt), repr(p)])
+            writer.writerow([k, repr(float(k)), repr(p)])
         writer.writerow(["residual", "", repr(self.residual)])
 
 

@@ -129,6 +129,8 @@ class CompiledScenario:
     rv_defs: dict  # rv name -> {value: probability}
     outcomes: dict  # stochastic (s, a) -> (rv, value per transitions row)
     action_index: dict  # action label -> action index
+    targets: tuple  # per action: its Segment or Activity, else None
+    cool_action: Optional[int]  # index of the cool action, if declared
     table: ValueTable = field(default=None, init=False, repr=False, compare=False)
     route_choice: tuple = field(default=None, init=False, repr=False, compare=False)
     channel_cache: dict = field(
@@ -159,12 +161,7 @@ class CompiledScenario:
 
     def route_policy(self, route_id: str):
         """(start state, partial state->action policy) for a declared route."""
-        route = None
-        for r in self.spec.routes:
-            if r.id == route_id:
-                route = r
-        if route is None:
-            raise InvalidConfigError(f"unknown route {route_id!r}")
+        route = self.spec.route(route_id)
         policy = {}
         for s, st in enumerate(self.states):
             if st.status != OK:
@@ -211,27 +208,40 @@ def _integrate_battery(spec, battery, t0, duration, activity):
 
 
 class _Compiler:
-    def __init__(self, spec: ScenarioSpec, max_states: int):
+    def __init__(self, spec: ScenarioSpec):
         if spec.kind != "rover" or spec.mission is None:
             raise InvalidConfigError("only rover scenarios with a mission compile")
         self.spec = spec
-        self.max_states = max_states
         self.rv_defs = {}
-        self.action_labels = []
+        # One row per action index: (label, effect, target), where the
+        # effect expands a state under the action and the target is the
+        # action's Segment or Activity (None for the others).  Per
+        # waypoint, ``drives`` lists its drive actions and ``sciences``
+        # (action, Activity) for its science actions, in action order.
+        self.actions = []
+        self.drives = {wp.id: [] for wp in spec.waypoints}
+        self.sciences = {wp.id: [] for wp in spec.waypoints}
         for seg in spec.segments:
-            self.action_labels.append(f"drive:{seg.id}")
+            self.drives[seg.frm].append(len(self.actions))
+            self.actions.append((f"drive:{seg.id}", self._drive, seg))
         for act in spec.activities:
-            self.action_labels.append(f"science:{act.id}")
+            self.sciences[act.waypoint].append((len(self.actions), act))
+            self.actions.append((f"science:{act.id}", self._science, act))
+        self.charge = self.cool = None
         if spec.actions.allow_charge:
-            self.action_labels.append("charge_to_full")
+            self.charge = len(self.actions)
+            self.actions.append(("charge_to_full", self._charge, None))
         if spec.actions.cool_grid_h is not None:
-            self.action_labels.append(f"cool:{_round(spec.actions.cool_grid_h)}h")
-        self.action_labels.append("stay")
-        self.action_index = {a: i for i, a in enumerate(self.action_labels)}
+            self.cool = len(self.actions)
+            self.actions.append(
+                (f"cool:{_round(spec.actions.cool_grid_h)}h", self._cool, None)
+            )
+        self.stay = len(self.actions)
+        self.actions.append(("stay", self._stay, None))
 
     def initial_state(self) -> RoverState:
         spec = self.spec
-        st = RoverState(
+        return RoverState(
             position=spec.mission.start,
             time_h=0.0,
             battery_wh=spec.battery.initial_wh if spec.battery else None,
@@ -239,10 +249,9 @@ class _Compiler:
             science=tuple((a.id, "todo") for a in spec.activities),
             terrain=tuple((r.id, None) for r in spec.regions),
         )
-        return self._settle(st)
 
-    def _settle(self, st: RoverState) -> RoverState:
-        """Apply completion/deadline classification to a fresh state."""
+    def finalize(self, st: RoverState) -> RoverState:
+        """Classify a fresh state: completion, deadline, or a dead end."""
         if st.status != OK:
             return st
         m = self.spec.mission
@@ -252,6 +261,9 @@ class _Compiler:
                 return st._replace(status=COMPLETE)
         if m.deadline_h is not None and st.time_h >= m.deadline_h - _TOL:
             return st._replace(status=DEADLINE_MISSED)
+        # A dead end with the mission incomplete absorbs as "stuck".
+        if not self.admissible_actions(st):
+            return st._replace(status=STUCK)
         return st
 
     def terminal_value(self, st: RoverState) -> float:
@@ -280,45 +292,41 @@ class _Compiler:
     # Action expansion ----------------------------------------------------
 
     def admissible_actions(self, st: RoverState):
-        spec = self.spec
-        out = []
         if st.status != OK:
-            return [self.action_index["stay"]]
-        for seg in spec.segments:
-            if seg.frm == st.position:
-                out.append(self.action_index[f"drive:{seg.id}"])
-        for act in spec.activities:
-            if act.waypoint == st.position and st.science_status(act.id) != "done":
-                out.append(self.action_index[f"science:{act.id}"])
-        if spec.actions.allow_charge and spec.battery and spec.battery.charge_rate_w:
-            wp = spec.waypoint(st.position)
-            if wp.charge_point and st.battery_wh < spec.battery.capacity_wh - _TOL:
-                duration = (
-                    spec.battery.capacity_wh - st.battery_wh
-                ) / spec.battery.charge_rate_w
-                end = st.time_h + duration
-                in_sun = spec.power is None or end <= spec.power.sunlight_until_h
-                if in_sun:
-                    out.append(self.action_index["charge_to_full"])
-        if spec.actions.cool_grid_h is not None:
-            out.append(
-                self.action_index[f"cool:{_round(spec.actions.cool_grid_h)}h"]
-            )
+            return [self.stay]
+        out = list(self.drives[st.position])
+        out += [
+            a for a, act in self.sciences[st.position]
+            if st.science_status(act.id) != "done"
+        ]
+        if self.charge is not None and self._charge_hours(st) is not None:
+            out.append(self.charge)
+        if self.cool is not None:
+            out.append(self.cool)
         return out
 
     def expand(self, st: RoverState, a: int):
-        label = self.action_labels[a]
-        if label == "stay":
-            return [_Branch(st, 1.0)]
-        if label.startswith("drive:"):
-            return self._drive(st, self.spec.segment(label.split(":", 1)[1]))
-        if label.startswith("science:"):
-            return self._science(st, self.spec.activity(label.split(":", 1)[1]))
-        if label == "charge_to_full":
-            return self._charge(st)
-        if label.startswith("cool:"):
-            return self._cool(st)
-        raise InvalidConfigError(f"unknown action label {label!r}")
+        _, effect, target = self.actions[a]
+        return effect(st, target)
+
+    def _charge_hours(self, st):
+        """Hours to charge to full from ``st``; None where charging is not
+        admissible: no charger or charge rate, a full battery, or a charge
+        that would end after sunset."""
+        spec, battery = self.spec, self.spec.battery
+        if not (
+            battery and battery.charge_rate_w
+            and spec.waypoint(st.position).charge_point
+            and st.battery_wh < battery.capacity_wh - _TOL
+        ):
+            return None
+        hours = (battery.capacity_wh - st.battery_wh) / battery.charge_rate_w
+        if spec.power is None or st.time_h + hours <= spec.power.sunlight_until_h:
+            return hours
+        return None
+
+    def _stay(self, st, _):
+        return [_Branch(st, 1.0)]
 
     def _terrain_branches(self, st, seg):
         """(probability, class, rv assignment, state-with-reveal) per branch."""
@@ -366,7 +374,7 @@ class _Compiler:
                     nxt = nxt._replace(status=MOTOR_FAILURE)
             if stranded and nxt.status == OK:
                 nxt = nxt._replace(status=STRANDED)
-            out.append(_Branch(self._settle(nxt), prob, assign, energy))
+            out.append(_Branch(nxt, prob, assign, energy))
         return out
 
     def _science(self, st, act):
@@ -381,30 +389,26 @@ class _Compiler:
             base = base._replace(status=STRANDED)
         if status == "redo" or act.redo_prob <= 0.0:
             nxt = base.with_science(act.id, "done")
-            return [_Branch(self._settle(nxt), 1.0)]
+            return [_Branch(nxt, 1.0)]
         rv = f"redo:{act.id}"
         self.rv_defs.setdefault(
             rv, {"false": 1.0 - act.redo_prob, "true": act.redo_prob}
         )
-        ok = self._settle(base.with_science(act.id, "done"))
-        redo = self._settle(base.with_science(act.id, "redo"))
+        ok = base.with_science(act.id, "done")
+        redo = base.with_science(act.id, "redo")
         return [
             _Branch(ok, 1.0 - act.redo_prob, (rv, "false")),
             _Branch(redo, act.redo_prob, (rv, "true")),
         ]
 
-    def _charge(self, st):
-        spec = self.spec
-        duration = (
-            spec.battery.capacity_wh - st.battery_wh
-        ) / spec.battery.charge_rate_w
+    def _charge(self, st, _):
         nxt = st._replace(
-            time_h=_round(st.time_h + duration),
-            battery_wh=spec.battery.capacity_wh,
+            time_h=_round(st.time_h + self._charge_hours(st)),
+            battery_wh=self.spec.battery.capacity_wh,
         )
-        return [_Branch(self._settle(nxt), 1.0)]
+        return [_Branch(nxt, 1.0)]
 
-    def _cool(self, st):
+    def _cool(self, st, _):
         spec = self.spec
         d = spec.actions.cool_grid_h
         nxt = st._replace(time_h=_round(st.time_h + d))
@@ -418,20 +422,13 @@ class _Compiler:
             nxt = nxt._replace(battery_wh=b)
             if stranded:
                 nxt = nxt._replace(status=STRANDED)
-        return [_Branch(self._settle(nxt), 1.0)]
+        return [_Branch(nxt, 1.0)]
 
 
 def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledScenario:
     """Compile a scenario into a validated Problem by forward reachability."""
-    comp = _Compiler(spec, max_states)
-
-    def finalize(st):
-        # A dead end with the mission incomplete absorbs as "stuck".
-        if st.status == OK and not comp.admissible_actions(st):
-            return st._replace(status=STUCK)
-        return st
-
-    s0 = finalize(comp.initial_state())
+    comp = _Compiler(spec)
+    s0 = comp.finalize(comp.initial_state())
     states = [s0]
     index = {s0: 0}
     queue = deque([0])
@@ -453,7 +450,7 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
             rows = []
             expanded = comp.expand(st, a)
             for br in expanded:
-                s2_state = finalize(br.state)
+                s2_state = comp.finalize(br.state)
                 if s2_state not in index:
                     if len(states) >= max_states:
                         raise ResourceLimitError(
@@ -483,7 +480,7 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
     adm = tuple(admissible[s] for s in range(n))
     problem = Problem(
         state_labels=labels,
-        action_labels=tuple(comp.action_labels),
+        action_labels=tuple(label for label, _, _ in comp.actions),
         admissible=adm,
         transitions=transitions,
         rewards=rewards,
@@ -499,5 +496,7 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
         initial_state=0,
         rv_defs=comp.rv_defs,
         outcomes=outcomes,
-        action_index=comp.action_index,
+        action_index={label: a for a, (label, _, _) in enumerate(comp.actions)},
+        targets=tuple(target for _, _, target in comp.actions),
+        cool_action=comp.cool,
     )

@@ -61,7 +61,6 @@ class Plant:
 
     def __init__(self, compiled: CompiledScenario, seed: int = 0, overrides=None):
         self.compiled = compiled
-        self.seed = seed
         rng = random.Random(seed)
         self.assignments = {}
         for rv in sorted(compiled.rv_defs):
@@ -78,29 +77,21 @@ class Plant:
         self.assignments.update(resolve_overrides(compiled, overrides))
         self.state = compiled.initial_state
 
-    @property
-    def problem(self):
-        return self.compiled.problem
-
-    def is_terminal(self) -> bool:
-        return self.problem.is_terminal(self.state)
-
     def observe(self) -> SensorObservation:
-        ch = self.compiled.channels(self.state)
-        return SensorObservation(channels=ch, timestamp=ch["time_h"])
+        return SensorObservation(channels=self.compiled.channels(self.state))
 
     def step(self, action: int):
         """Execute an action; returns (observation, realized reward)."""
-        s = self.state
-        self.problem.require_admissible(s, action)
-        rows = self.problem.transitions[(s, action)]
+        s, problem = self.state, self.compiled.problem
+        problem.require_admissible(s, action)
+        rows = problem.transitions[(s, action)]
         outcome = self.compiled.outcomes.get((s, action))
         if outcome is None:
             chosen = rows[0][0]
         else:
             rv, values = outcome
             chosen = rows[values.index(self.assignments[rv])][0]
-        reward = self.problem.rewards[(s, action)] + self.problem.transition_rewards.get(
+        reward = problem.rewards[(s, action)] + problem.transition_rewards.get(
             (s, action, chosen), 0.0
         )
         self.state = chosen

@@ -15,6 +15,13 @@ from typing import Mapping, Sequence
 import jsonschema
 
 from ..errors import InvalidConfigError
+from ..shm import (
+    DiagnosisRule,
+    FaultDetector,
+    MitigationRule,
+    ShmRules,
+    ThresholdPredicate,
+)
 
 PROB_TOL = 1e-9
 
@@ -306,7 +313,7 @@ class ThermalConfig:
 class Mission:
     start: str
     goal: str
-    require_activities: tuple = ()
+    require_activities: Sequence = ()
     deadline_h: float = None
 
 
@@ -361,7 +368,7 @@ class ScenarioSpec:
     routes: tuple = ()
     nominal_plan: tuple = ()
     abort_plan: Mapping = field(default_factory=dict)
-    shm_rules: Mapping = field(default_factory=dict)
+    shm_rules: ShmRules = ShmRules()
     degradation: DegradationSection = None
     override_aliases: Mapping = field(default_factory=dict)
     comments: tuple = ()
@@ -378,11 +385,11 @@ class ScenarioSpec:
                 return r
         raise InvalidConfigError(f"unknown region {region_id!r}")
 
-    def segment(self, seg_id):
-        for s in self.segments:
-            if s.id == seg_id:
-                return s
-        raise InvalidConfigError(f"unknown segment {seg_id!r}")
+    def route(self, route_id):
+        for r in self.routes:
+            if r.id == route_id:
+                return r
+        raise InvalidConfigError(f"unknown route {route_id!r}")
 
     def activity(self, act_id):
         for a in self.activities:
@@ -406,9 +413,13 @@ def validate_scenario_dict(doc: dict):
 
 
 def load_scenario(doc: dict) -> ScenarioSpec:
-    """Build a validated ScenarioSpec from a scenario document."""
+    """Build a validated ScenarioSpec from a scenario document.
+
+    Records are built from their entries by keyword (``from`` becomes
+    ``frm``), so field defaults live only on the dataclasses.
+    """
     validate_scenario_dict(doc)
-    regions = tuple(Region(r["id"], dict(r["classes"])) for r in doc.get("regions", ()))
+    regions = tuple(Region(**r) for r in doc.get("regions", ()))
     for r in regions:
         total = sum(r.classes.values())
         if abs(total - 1.0) > PROB_TOL:
@@ -422,58 +433,26 @@ def load_scenario(doc: dict) -> ScenarioSpec:
             raise InvalidConfigError("battery capacity/initial must be positive")
         if battery.initial_wh > battery.capacity_wh:
             raise InvalidConfigError("initial charge exceeds capacity")
-    segments = tuple(
-        Segment(
-            id=s["id"],
-            frm=s["from"],
-            to=s["to"],
-            duration_h=s.get("duration_h", 1.0),
-            region=s.get("region"),
-            terrain=s.get("terrain"),
-            energy_wh=s.get("energy_wh"),
-            grade=s.get("grade", "flat"),
-            heats_motor=s.get("heats_motor", False),
-        )
-        for s in doc.get("segments", ())
-    )
     spec = ScenarioSpec(
         name=doc["name"],
         kind=doc["kind"],
-        waypoints=tuple(
-            Waypoint(w["id"], w.get("name", ""), w.get("charge_point", False))
-            for w in doc.get("waypoints", ())
-        ),
+        waypoints=tuple(Waypoint(**w) for w in doc.get("waypoints", ())),
         regions=regions,
-        segments=segments,
-        activities=tuple(
-            Activity(
-                a["id"],
-                a["waypoint"],
-                a["duration_h"],
-                a.get("load_w", 0.0),
-                a.get("redo_prob", 0.0),
-            )
-            for a in doc.get("activities", ())
+        segments=tuple(
+            Segment(**{"frm" if k == "from" else k: v for k, v in s.items()})
+            for s in doc.get("segments", ())
         ),
+        activities=tuple(Activity(**a) for a in doc.get("activities", ())),
         power=PowerConfig(**doc["power"]) if doc.get("power") else None,
         battery=battery,
         thermal=ThermalConfig(**doc["thermal"]) if doc.get("thermal") else None,
-        mission=Mission(
-            start=doc["mission"]["start"],
-            goal=doc["mission"]["goal"],
-            require_activities=tuple(doc["mission"].get("require_activities", ())),
-            deadline_h=doc["mission"].get("deadline_h"),
-        )
-        if doc.get("mission")
-        else None,
+        mission=Mission(**doc["mission"]) if doc.get("mission") else None,
         reward=RewardConfig(**doc.get("reward", {})),
         actions=ActionConfig(**doc.get("actions", {})),
-        routes=tuple(
-            Route(r["id"], dict(r["moves"])) for r in doc.get("routes", ())
-        ),
+        routes=tuple(Route(**r) for r in doc.get("routes", ())),
         nominal_plan=tuple(doc.get("nominal_plan", ())),
         abort_plan=dict(doc.get("abort_plan", {})),
-        shm_rules=doc.get("shm_rules", {}),
+        shm_rules=_shm_rules(doc.get("shm_rules", {})),
         degradation=DegradationSection(**doc["degradation"])
         if doc.get("degradation")
         else None,
@@ -485,7 +464,32 @@ def load_scenario(doc: dict) -> ScenarioSpec:
     return spec
 
 
+def _shm_rules(rules: Mapping) -> ShmRules:
+    """The document's ``shm_rules`` as typed records; ``min_probability``
+    is passed only when given, so its default stays on ``ShmRules``."""
+    return ShmRules(
+        detector=FaultDetector(
+            tuple(ThresholdPredicate(**d) for d in rules.get("detectors", ()))
+        ),
+        diagnosis=tuple(DiagnosisRule(**d) for d in rules.get("diagnosis", ())),
+        mitigations=tuple(MitigationRule(**m) for m in rules.get("mitigations", ())),
+        **{k: v for k, v in rules.items() if k == "min_probability"},
+    )
+
+
 def _cross_check(spec: ScenarioSpec):
+    for kind, records in (
+        ("waypoint", spec.waypoints),
+        ("region", spec.regions),
+        ("segment", spec.segments),
+        ("activity", spec.activities),
+        ("route", spec.routes),
+    ):
+        seen = set()
+        for rec in records:
+            if rec.id in seen:
+                raise InvalidConfigError(f"duplicate {kind} id {rec.id!r}")
+            seen.add(rec.id)
     wp_ids = {w.id for w in spec.waypoints}
     for seg in spec.segments:
         if seg.frm not in wp_ids or seg.to not in wp_ids:

@@ -27,10 +27,9 @@ _OPS = {
 
 @dataclass(frozen=True)
 class SensorObservation:
-    """Named channel readings at a timestamp (hours)."""
+    """Named channel readings."""
 
     channels: Mapping
-    timestamp: float = 0.0
 
     def __getitem__(self, channel):
         return self.channels[channel]
@@ -183,7 +182,17 @@ def select_recovery(
     return best.action, dict(best.constraints)
 
 
-def phm_route_choice(problem: Problem, route_policies: Mapping, horizon: int = None):
+@dataclass(frozen=True)
+class ShmRules:
+    """A scenario's rule tables for the separated pipeline, typed at load."""
+
+    detector: FaultDetector = FaultDetector()
+    diagnosis: tuple = ()  # DiagnosisRule, ...
+    mitigations: tuple = ()  # MitigationRule, ...
+    min_probability: float = 0.0
+
+
+def phm_route_choice(problem: Problem, route_policies: Mapping):
     """Commit to the route with the best open-loop expectation.
 
     ``route_policies`` maps route id to a (possibly partial) state ->
@@ -197,7 +206,7 @@ def phm_route_choice(problem: Problem, route_policies: Mapping, horizon: int = N
     expectations = {}
     best_id, best_val = None, None
     for route_id, (start, policy) in route_policies.items():
-        value, _ = open_loop_expectation(problem, start, policy, horizon=horizon)
+        value, _ = open_loop_expectation(problem, start, policy)
         expectations[route_id] = value
         if best_val is None or value > best_val + 1e-12:
             best_id, best_val = route_id, value

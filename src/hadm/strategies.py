@@ -20,17 +20,9 @@ import random
 from .errors import EscalationRequired, InvalidConfigError
 from .loop import OnlineExpectimaxProvider, most_likely_state, run_loop
 from .rover.compiler import CompiledScenario
-from .rover.plant import Plant
-from .shm import (
-    DiagnosisRule,
-    FaultDetector,
-    MitigationRule,
-    ThresholdPredicate,
-    diagnose,
-    phm_route_choice,
-    prognose_fault,
-    select_recovery,
-)
+from .rover.plant import Plant, resolve_overrides
+from .rover.spec import Activity, Segment
+from .shm import diagnose, phm_route_choice, prognose_fault, select_recovery
 
 
 class HadmProvider(OnlineExpectimaxProvider):
@@ -45,7 +37,7 @@ class HadmProvider(OnlineExpectimaxProvider):
         if compiled.table is None:
             super().__init__(compiled.problem)
             compiled.table = self.table
-        self.problem, self.table = compiled.problem, compiled.table
+        self.table = compiled.table
 
     @staticmethod
     def applicable(spec) -> bool:
@@ -58,7 +50,6 @@ class FixedPlanProvider:
     def __init__(self, compiled: CompiledScenario, seed: int = 0):
         if not compiled.spec.nominal_plan:
             raise InvalidConfigError("scenario declares no nominal plan")
-        self.compiled = compiled
         self.plan = [compiled.action(lbl) for lbl in compiled.spec.nominal_plan]
         self.pos = 0
 
@@ -106,10 +97,7 @@ class PhmCommitProvider:
                     r.id: compiled.route_policy(r.id) for r in compiled.spec.routes
                 })
             self.route_id, self.expectations = compiled.route_choice
-        route = None
-        for r in self.compiled.spec.routes:
-            if r.id == self.route_id:
-                route = r
+        route = self.compiled.spec.route(self.route_id)
         s = most_likely_state(belief)
         move = route.moves.get(self.compiled.states[s].position)
         if move is None:
@@ -126,46 +114,17 @@ class ShmBaselineProvider:
     Every observation runs detection; fired predicates are diagnosed,
     each descriptor is prognosed by linear extrapolation, and the
     matching mitigation is applied.  Operational constraints attached to
-    a mitigation persist (the component stays marked faulty); when they
-    block the next planned move, execution switches to the abort plan.
+    a mitigation persist; when they block the next planned move,
+    execution switches to the abort plan.
     All pipeline activity is logged in ``events`` for inspection.
     """
 
     def __init__(self, compiled: CompiledScenario, seed: int = 0):
         self.compiled = compiled
-        spec = compiled.spec
-        rules = spec.shm_rules or {}
-        self.detector = FaultDetector(
-            predicates=tuple(
-                ThresholdPredicate(
-                    channel=d["channel"], op=d["op"], limit=d["limit"],
-                    when=d.get("when"),
-                )
-                for d in rules.get("detectors", ())
-            )
-        )
-        self.diagnosis_rules = tuple(
-            DiagnosisRule(
-                channel=d["channel"], component=d["component"], mode=d["mode"],
-                parameters=d.get("parameters", {}),
-                probability=d.get("probability", 1.0),
-            )
-            for d in rules.get("diagnosis", ())
-        )
-        self.mitigations = tuple(
-            MitigationRule(
-                fault_mode=m["fault_mode"], action=m["action"],
-                constraints=m.get("constraints", {}),
-                priority=m.get("priority", 0),
-                mark_faulty=m.get("mark_faulty"),
-            )
-            for m in rules.get("mitigations", ())
-        )
-        self.min_probability = rules.get("min_probability", 0.0)
-        self.plan = [compiled.action(lbl) for lbl in spec.nominal_plan]
+        self.rules = compiled.spec.shm_rules
+        self.plan = [compiled.action(lbl) for lbl in compiled.spec.nominal_plan]
         self.pos = 0
         self.allowed_grades = None
-        self.faulty = set()
         self.cooling = False
         self.aborting = False
         self.events = []
@@ -175,17 +134,15 @@ class ShmBaselineProvider:
         return spec.kind == "rover" and bool(spec.nominal_plan)
 
     def _cool_action(self, problem, s):
-        spec = self.compiled.spec
-        if spec.actions.cool_grid_h is None:
-            return None
-        a = self.compiled.action(f"cool:{round(spec.actions.cool_grid_h, 6)}h")
+        a = self.compiled.cool_action
         return a if a in problem.admissible[s] else None
 
     def _run_pipeline(self, problem, s, observation, step):
-        fired = self.detector.fired(observation)
+        rules = self.rules
+        fired = rules.detector.fired(observation)
         if not fired:
             return None
-        descriptors = diagnose(self.diagnosis_rules, observation, fired)
+        descriptors = diagnose(rules.diagnosis, observation, fired)
         ruls = [prognose_fault(d, observation) for d in descriptors]
         known = [r for r in ruls if r is not None]
         rul_hours = min(known) if known else None
@@ -196,7 +153,7 @@ class ShmBaselineProvider:
         }
         try:
             action_label, constraints = select_recovery(
-                descriptors, rul_hours, self.mitigations, self.min_probability
+                descriptors, rul_hours, rules.mitigations, rules.min_probability
             )
         except EscalationRequired as exc:
             event["escalation"] = str(exc)
@@ -205,9 +162,6 @@ class ShmBaselineProvider:
         event["recovery"] = action_label
         event["constraints"] = constraints
         self.events.append(event)
-        for rule in self.mitigations:
-            if rule.action == action_label and rule.mark_faulty:
-                self.faulty.add(rule.mark_faulty)
         if "grades" in constraints:
             self.allowed_grades = tuple(constraints["grades"])
         if action_label == "stop_and_cool_down":
@@ -239,16 +193,14 @@ class ShmBaselineProvider:
             if self.pos >= len(self.plan):
                 return None
             a = self.plan[self.pos]
-            label = problem.action_labels[a]
-            if label.startswith("drive:") and self.allowed_grades is not None:
-                seg = spec.segment(label.split(":", 1)[1])
-                if seg.grade not in self.allowed_grades:
+            target = self.compiled.targets[a]
+            if isinstance(target, Segment) and self.allowed_grades is not None:
+                if target.grade not in self.allowed_grades:
                     self.aborting = True
                     continue
-            if label.startswith("science:"):
+            if isinstance(target, Activity):
                 # Hold the plan position until the activity is observed done.
-                act_id = label.split(":", 1)[1]
-                if observation.get(f"science:{act_id}") == "done":
+                if observation.get(f"science:{target.id}") == "done":
                     self.pos += 1
                     continue
                 return a if a in problem.admissible[s] else None
@@ -285,8 +237,6 @@ def analytic_expectation(
     every ground-truth assignment and replaying the (deterministic per
     assignment) strategy against each.  Pinned variables keep their
     pinned value instead of being enumerated."""
-    from .rover.plant import resolve_overrides
-
     pinned = resolve_overrides(compiled, overrides)
     rvs = sorted(compiled.rv_defs)
     choices = [

@@ -17,8 +17,10 @@ from hadm.errors import (
     InvalidConfigError,
     ModelError,
     NotDeterministicError,
+    ResourceLimitError,
 )
 from hadm.model import (
+    MAX_STAGE_ENTRIES,
     Policy,
     Problem,
     belief_update,
@@ -390,6 +392,32 @@ class TestDeterministicValues:
     def test_plan_utility(self):
         p = chain_problem()
         assert plan_utility(p, 0, [0, 0]) == pytest.approx(3.0)
+
+    def test_plan_utility_discounts_like_the_open_loop_expectation(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            n = rng.randint(2, 6)
+            m = rng.randint(1, 3)
+            transitions, rewards, transition_rewards = {}, {}, {}
+            for s in range(n):
+                for a in range(m):
+                    s2 = rng.randrange(n)
+                    transitions[(s, a)] = ((s2, 1.0),)
+                    rewards[(s, a)] = round(rng.uniform(-5, 5), 3)
+                    if rng.random() < 0.5:
+                        transition_rewards[(s, a, s2)] = round(rng.uniform(-2, 2), 3)
+            p = Problem(
+                state_labels=tuple(f"s{i}" for i in range(n)),
+                action_labels=tuple(f"a{i}" for i in range(m)),
+                admissible=(tuple(range(m)),) * n,
+                transitions=transitions,
+                rewards=rewards,
+                gamma=round(rng.uniform(0.1, 0.95), 2),
+                transition_rewards=transition_rewards,
+            )
+            plan = [rng.randrange(m) for _ in range(rng.randint(1, 8))]
+            value, _ = open_loop_expectation(p, 0, plan, horizon=len(plan))
+            assert plan_utility(p, 0, plan) == value
 
     def test_plan_utility_rejects_stochastic(self):
         p = coin_problem()
@@ -796,6 +824,12 @@ class TestSolverDispatch:
         assert cli_main(["solve", "--scenario", str(path),
                          "--value-out", str(out)]) == 0
         assert out.read_text().splitlines()[1].endswith(",-420.0")
+
+    def test_stage_tables_are_capped(self):
+        p = chain_of(3000)
+        assert (p.horizon + 1) * p.n_states > MAX_STAGE_ENTRIES
+        with pytest.raises(ResourceLimitError, match="stage tables"):
+            value_iterate(p, return_stages=True)
 
     def test_long_chain_is_walked_without_recursion(self):
         table = value_iterate(chain_of(3000))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hadm.cli import main as cli_main
 from hadm.errors import InadmissibleActionError, InvalidConfigError, ResourceLimitError
 from hadm.model import value_iterate
 from hadm.rover import (
@@ -63,6 +64,29 @@ class TestScenarioLoading:
         doc["regions"][0]["classes"] = {"difficult": 0.4, "moderate": 0.4}
         with pytest.raises(InvalidConfigError):
             load_scenario(doc)
+
+    DUPLICATES = [
+        (2, "waypoints", "waypoint", {"id": "wp0"}),
+        (2, "regions", "region", {"id": "left", "classes": {"moderate": 1.0}}),
+        (2, "segments", "segment", {"id": "L1", "from": "wp0", "to": "wp4"}),
+        (3, "activities", "activity",
+         {"id": "sci1", "waypoint": "wp0", "duration_h": 1}),
+        (2, "routes", "route", {"id": "left", "moves": {"wp0": "drive:R1"}}),
+    ]
+
+    @pytest.mark.parametrize("n, section, kind, record", DUPLICATES,
+                             ids=[d[2] for d in DUPLICATES])
+    def test_duplicate_ids_rejected(self, n, section, kind, record, tmp_path,
+                                    capsys):
+        doc = builtin_scenario_dict(n)
+        doc[section].append(record)
+        message = f"duplicate {kind} id {record['id']!r}"
+        with pytest.raises(InvalidConfigError, match=message):
+            load_scenario(doc)
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli_main(["run", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_initial_charge_bounded_by_capacity(self):
         doc = builtin_scenario_dict(2)
