@@ -6,6 +6,7 @@ with the pinned value.  A refactor that changes any byte of an export, a
 value table, a trace or a comparison fails here.
 """
 import hashlib
+import json
 
 import pytest
 
@@ -151,3 +152,30 @@ def _run(argv, files, tmp_path, capsys):
 )
 def test_artifact_digests(case_id, argv, files, tmp_path, capsys):
     assert _run(argv, files, tmp_path, capsys) == GOLDEN[case_id]
+
+
+# A degradation-only scenario with the numbers of the bench's ladder model:
+# about 850-1250 steps to end of life, so the 1000-step DP spends most of
+# its steps in the region where mass crosses.  builtin:1 crosses within
+# 20 steps and never gets there.
+LONG_DEGRADATION = {
+    "name": "long-degradation",
+    "kind": "prognostics",
+    "degradation": {
+        "s0": 1.0, "rate_nominal": 0.0008, "p_high": 0.27, "epsilon": 0.0012,
+        "horizon": 1000, "sigma_max": 20.0, "h_min": 0.0,
+    },
+}
+
+
+def test_long_prognosis_digests(tmp_path, capsys):
+    scenario = tmp_path / "long-degradation.json"
+    scenario.write_text(json.dumps(LONG_DEGRADATION), encoding="utf-8")
+    argv = ["predict", "--scenario", str(scenario),
+            "--rho", "1.0", "--rho", "0.75", "--rho", "0.5", "--rho", "0.25",
+            "--out", "{predict.csv}", "--dist-out", "{dist.csv}"]
+    assert _run(argv, ("predict.csv", "dist.csv"), tmp_path, capsys) == {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "predict.csv": "a09b27ef5627151b2afd101c73e3715950ca4de9bdc6d2dd86d05e8550f77d98",
+        "dist.csv": "79a41a93b60f5513804a14eb5fa4a0b25f5e0efea5d4de098de3a81dd62f4e78",
+    }
