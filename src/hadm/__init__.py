@@ -53,6 +53,7 @@ from .prognostics import (
     EventThreshold,
     PrognosisRequest,
     PrognosisResult,
+    closed_forms,
     eol_distribution,
     max_prediction_health,
     monte_carlo_eol,

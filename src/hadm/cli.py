@@ -26,6 +26,7 @@ from .prognostics import (
     DegradationModel,
     EventThreshold,
     PrognosisRequest,
+    closed_forms,
     max_prediction_health,
     prognose,
 )
@@ -194,7 +195,7 @@ def cmd_predict(args) -> int:
     for rho_p in rhos:
         t_p = (1.0 - rho_p) * model.s0 / model.rate_nominal
         req = PrognosisRequest(rho_p=rho_p, t_p=t_p, horizon=deg.horizon)
-        res = prognose(model, req, threshold)
+        res = closed_forms(model, req, threshold)
         lines.append(
             f"{rho_p!r},{t_p!r},{res.eol_det!r},{res.eol_stoch!r},"
             f"{res.sigma!r},{res.rul!r}"

@@ -20,6 +20,13 @@ from .errors import InvalidConfigError, ResourceLimitError, UnconstrainedSigmaEr
 _TOL = 1e-9
 
 
+def _require_finite(record, *names):
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise InvalidConfigError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DegradationModel:
     """Two-rate stochastic health decay.
@@ -35,6 +42,7 @@ class DegradationModel:
     s0: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, "rate_nominal", "p_high", "epsilon", "s0")
         if self.s0 <= 0:
             raise InvalidConfigError("initial health must be positive")
         if self.rate_nominal <= 0:
@@ -59,6 +67,9 @@ class EventThreshold:
 
     h_min: float = 0.0
 
+    def __post_init__(self):
+        _require_finite(self, "h_min")
+
     def crossed(self, health: float) -> bool:
         return health <= self.h_min + _TOL
 
@@ -72,6 +83,7 @@ class PrognosisRequest:
     horizon: int = 100
 
     def __post_init__(self):
+        _require_finite(self, "rho_p", "t_p")
         if not (0.0 < self.rho_p <= 1.0):
             raise InvalidConfigError("rho_p must be in (0, 1]")
         if self.horizon <= 0:
@@ -122,6 +134,8 @@ def sigma(model: DegradationModel, req: PrognosisRequest) -> float:
 
 def max_prediction_health(model: DegradationModel, sigma_max: float) -> float:
     """Largest health fraction rho at which sigma(rho) <= sigma_max."""
+    if not math.isfinite(sigma_max):
+        raise InvalidConfigError(f"sigma_max must be finite, got {sigma_max!r}")
     slope = model.s0 * abs(1.0 / model.rate_nominal - 1.0 / model.mean_rate)
     if slope == 0.0:
         raise UnconstrainedSigmaError("sigma is identically zero (p_high * epsilon = 0)")
@@ -137,6 +151,14 @@ def rul(
     return max(0.0, (req.rho_p * model.s0 - threshold.h_min) / model.rate_nominal)
 
 
+def _starting_health(model, req, threshold) -> float:
+    """Health when the prediction is made; it must lie above the threshold."""
+    start = req.rho_p * model.s0
+    if threshold.h_min >= start:
+        raise InvalidConfigError("threshold must be below the starting health")
+    return start
+
+
 def eol_distribution(
     model: DegradationModel,
     req: PrognosisRequest,
@@ -146,38 +168,49 @@ def eol_distribution(
     """Exact first-crossing-time distribution within the horizon.
 
     Forward DP over the number of high-rate steps taken so far (health
-    after k steps with j high ones is determined by k and j).  Returns
-    ([(step, probability), ...], residual) where residual is the mass
-    that has not crossed by the horizon.
+    after k steps with j high ones is determined by k and j).  Health
+    falls as j grows, so the counts still alive after step k form one
+    range ``lo <= j < lo + len(alive)``, and ``alive`` lists their
+    probabilities.  Returns ([(step, probability), ...], residual) where
+    residual is the mass that has not crossed by the horizon.
     """
-    start = req.rho_p * model.s0
-    if threshold.h_min >= start:
-        raise InvalidConfigError("threshold must be below the starting health")
-    alive = {0: 1.0}  # high-step count -> probability, among survivors
+    start = _starting_health(model, req, threshold)
+    p_nom, p_high = 1.0 - model.p_high, model.p_high
+    shift = 0 if p_nom > 0.0 else 1  # a sure high step leaves no count unchanged
+    grow = 1 if p_high > 0.0 else 0  # a high step reaches one count more
+    lo, alive = 0, [1.0]  # alive[i]: probability of lo + i high steps
     dist = []
     nodes = 0
     for k in range(1, req.horizon + 1):
-        nxt = {}
+        n = len(alive)
+        # Step k reaches counts lo + i for shift <= i < n + grow; those
+        # from lo + m on cross.
+        m = n + grow
+        while m > shift and threshold.crossed(
+            start - k * model.rate_nominal - (lo + m - 1) * model.epsilon
+        ):
+            m -= 1
+        # Crossed mass in (count, nominal then high) order; a branch of
+        # probability 0 adds 0.0, which changes no bit.
         crossed_mass = 0.0
-        for j, p in alive.items():
-            for dj, pb in ((0, 1.0 - model.p_high), (1, model.p_high)):
-                if pb <= 0.0:
-                    continue
-                j2 = j + dj
-                health = start - k * model.rate_nominal - j2 * model.epsilon
-                if threshold.crossed(health):
-                    crossed_mass += p * pb
-                else:
-                    nxt[j2] = nxt.get(j2, 0.0) + p * pb
+        for i in range(max(m - 1, 0), n):
+            if i >= m:
+                crossed_mass += alive[i] * p_nom
+            crossed_mass += alive[i] * p_high
         if crossed_mass > 0.0:
             dist.append((k, crossed_mass))
-        alive = nxt
+        # Count lo + i now has alive[i] * p_nom + alive[i - 1] * p_high,
+        # with a 0.0 product past either end.
+        alive = [
+            b * p_nom + a * p_high for a, b in zip([0.0, *alive], [*alive, 0.0])
+        ][shift:m]
+        lo += shift
         nodes += len(alive)
         if nodes > node_cap:
             raise ResourceLimitError(f"EOL DP exceeded {node_cap} reachable nodes")
         if not alive:
             break
-    return dist, sum(alive.values())
+    return dist, sum(alive)
 
 
 def monte_carlo_eol(
@@ -209,18 +242,27 @@ def monte_carlo_eol(
     return dist, residual
 
 
+def closed_forms(
+    model: DegradationModel,
+    req: PrognosisRequest,
+    threshold: EventThreshold = EventThreshold(),
+) -> PrognosisResult:
+    """The prognosis without the exact distribution, which it leaves empty."""
+    _starting_health(model, req, threshold)
+    return PrognosisResult(
+        eol_det=predict_eol_deterministic(model, req),
+        eol_stoch=predict_eol_stochastic(model, req),
+        sigma=sigma(model, req),
+        rul=rul(model, req, threshold),
+    )
+
+
 def prognose(
     model: DegradationModel,
     req: PrognosisRequest,
     threshold: EventThreshold = EventThreshold(),
 ) -> PrognosisResult:
     """Assemble the full prognosis for one request."""
-    dist, residual = eol_distribution(model, req, threshold)
-    return PrognosisResult(
-        eol_det=predict_eol_deterministic(model, req),
-        eol_stoch=predict_eol_stochastic(model, req),
-        sigma=sigma(model, req),
-        rul=rul(model, req, threshold),
-        distribution=dist,
-        residual=residual,
-    )
+    res = closed_forms(model, req, threshold)
+    res.distribution, res.residual = eol_distribution(model, req, threshold)
+    return res

@@ -1,5 +1,6 @@
 """Command-line tests: exit codes, summaries, artifact reproducibility."""
 import json
+import math
 
 import pytest
 
@@ -94,6 +95,57 @@ class TestExitCodes:
         assert run_cli(
             ["compare", "--scenario", "builtin:2", "--rollouts", "0"]
         ) == 2
+
+
+def write_degradation(tmp_path, **degradation):
+    path = tmp_path / "degradation.json"
+    doc = {"name": "degradation", "kind": "prognostics", "degradation": degradation}
+    # json writes NaN and Infinity tokens, which json.load reads back.
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestPredictExitCodes:
+    BASE = {"s0": 1.0, "rate_nominal": 0.05, "p_high": 0.2, "epsilon": 0.05,
+            "horizon": 20, "sigma_max": 1.0, "h_min": 0.0}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["s0", "rate_nominal", "p_high", "epsilon", "h_min", "sigma_max"]
+    )
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys, field, value):
+        scenario = write_degradation(tmp_path, **{**self.BASE, field: value})
+        out = tmp_path / "predict.csv"
+        assert run_cli(["predict", "--scenario", scenario, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {field} must be finite, got {value!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rho", ["0.25", "0.2"])
+    def test_rho_at_or_below_threshold_is_config_error(self, tmp_path, capsys, rho):
+        scenario = write_degradation(tmp_path, **{**self.BASE, "h_min": 0.25})
+        assert run_cli(["predict", "--scenario", scenario, "--rho", rho]) == 2
+        assert capsys.readouterr().err == (
+            "error: threshold must be below the starting health\n"
+        )
+
+    def test_node_cap_applies_only_to_the_distribution(self, tmp_path, capsys):
+        # Nothing crosses within the horizon, so step k holds k + 1 live
+        # high-step counts and the DP passes 10^6 nodes near step 1414.
+        scenario = write_degradation(
+            tmp_path, rate_nominal=1e-9, p_high=0.5, epsilon=1e-9, horizon=2000
+        )
+        dist = tmp_path / "dist.csv"
+        argv = ["predict", "--scenario", scenario]
+        assert run_cli([*argv, "--dist-out", str(dist)]) == 3
+        assert capsys.readouterr().err == (
+            "error: EOL DP exceeded 1000000 reachable nodes\n"
+        )
+        assert not dist.exists()
+        # The rows are closed forms; without --dist-out no DP runs.
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.startswith("rho_p,t_p,eol_det,")
 
 
 class TestRunSummaries:

@@ -6,10 +6,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hadm
 
-from hadm.errors import InvalidConfigError, UnconstrainedSigmaError
+from hadm.errors import InvalidConfigError, ResourceLimitError, UnconstrainedSigmaError
 from hadm.prognostics import (
     DegradationModel,
     EventThreshold,
@@ -46,6 +48,49 @@ def enumerate_eol(model, req, threshold=EventThreshold()):
         else:
             dist[crossed_at] = dist.get(crossed_at, 0.0) + prob
     return sorted(dist.items()), residual
+
+
+def dict_eol_distribution(
+    model: DegradationModel,
+    req: PrognosisRequest,
+    threshold: EventThreshold = EventThreshold(),
+    node_cap: int = 10**6,
+):
+    """Exact first-crossing-time distribution within the horizon.
+
+    Forward DP over the number of high-rate steps taken so far (health
+    after k steps with j high ones is determined by k and j).  Returns
+    ([(step, probability), ...], residual) where residual is the mass
+    that has not crossed by the horizon.
+    """
+    start = req.rho_p * model.s0
+    if threshold.h_min >= start:
+        raise InvalidConfigError("threshold must be below the starting health")
+    alive = {0: 1.0}  # high-step count -> probability, among survivors
+    dist = []
+    nodes = 0
+    for k in range(1, req.horizon + 1):
+        nxt = {}
+        crossed_mass = 0.0
+        for j, p in alive.items():
+            for dj, pb in ((0, 1.0 - model.p_high), (1, model.p_high)):
+                if pb <= 0.0:
+                    continue
+                j2 = j + dj
+                health = start - k * model.rate_nominal - j2 * model.epsilon
+                if threshold.crossed(health):
+                    crossed_mass += p * pb
+                else:
+                    nxt[j2] = nxt.get(j2, 0.0) + p * pb
+        if crossed_mass > 0.0:
+            dist.append((k, crossed_mass))
+        alive = nxt
+        nodes += len(alive)
+        if nodes > node_cap:
+            raise ResourceLimitError(f"EOL DP exceeded {node_cap} reachable nodes")
+        if not alive:
+            break
+    return dist, sum(alive.values())
 
 
 class TestClosedForms:
@@ -143,6 +188,67 @@ class TestDistribution:
         assert abs(res.mean_eol() - res.eol_stoch) / res.eol_stoch <= 0.05
 
 
+class TestDistributionAgainstDictOracle:
+    """The list DP against a per-node dict DP, the previous implementation.
+
+    Both add the same products in the same order, so results are equal
+    bit for bit, and both raise the same error at the same step.
+    """
+
+    @staticmethod
+    def outcome(fn, model, req, threshold, node_cap):
+        try:
+            return fn(model, req, threshold, node_cap=node_cap)
+        except (InvalidConfigError, ResourceLimitError) as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        p_high=st.one_of(
+            st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.floats(0.05, 0.95)
+        ),
+        # Reciprocals of whole step counts put the crossing inside the
+        # horizon and make many (step, count) healths land on the threshold.
+        rate_nominal=st.one_of(
+            st.floats(1e-3, 0.3),
+            st.floats(0.004, 0.1),
+            st.integers(3, 250).map(lambda n: 1.0 / n),
+        ),
+        epsilon=st.one_of(
+            st.just(0.0), st.floats(0.0, 0.3), st.integers(1, 40).map(lambda n: n / 2500)
+        ),
+        s0=st.one_of(st.just(1.0), st.floats(0.1, 3.0)),
+        # Threshold as a fraction of the starting health; from 1 on it is rejected.
+        h_frac=st.one_of(st.just(0.0), st.floats(0.0, 1.05)),
+        rho_p=st.one_of(st.just(1.0), st.floats(0.01, 1.0), st.floats(0.3, 1.0)),
+        horizon=st.integers(1, 300),
+        node_cap=st.one_of(st.just(10**6), st.integers(1, 20_000)),
+    )
+    def test_list_dp_equals_dict_dp(
+        self, p_high, rate_nominal, epsilon, s0, h_frac, rho_p, horizon, node_cap
+    ):
+        model = DegradationModel(
+            rate_nominal=rate_nominal, p_high=p_high, epsilon=epsilon, s0=s0
+        )
+        req = PrognosisRequest(rho_p=rho_p, horizon=horizon)
+        threshold = EventThreshold(h_min=h_frac * rho_p * s0)
+        got = self.outcome(eol_distribution, model, req, threshold, node_cap)
+        want = self.outcome(dict_eol_distribution, model, req, threshold, node_cap)
+        assert got == want
+
+    @pytest.mark.parametrize("p_high", [0.0, 0.27, 1.0])
+    def test_node_cap_fires_at_the_same_step(self, p_high):
+        # No mass crosses within the horizon, so nodes only accumulate.
+        model = DegradationModel(rate_nominal=1e-6, p_high=p_high, epsilon=1e-6)
+        req = PrognosisRequest(rho_p=1.0, horizon=400)
+        for node_cap in (1, 399, 400, 5000, 80_000, 80_200):
+            got = self.outcome(eol_distribution, model, req, EventThreshold(), node_cap)
+            want = self.outcome(
+                dict_eol_distribution, model, req, EventThreshold(), node_cap
+            )
+            assert got == want
+
+
 class TestMonteCarlo:
     def test_total_variation_against_dp(self):
         req = PrognosisRequest(rho_p=1.0, horizon=20)
@@ -197,6 +303,19 @@ class TestValidation:
             DegradationModel(rate_nominal=0.05, p_high=1.5)
         with pytest.raises(InvalidConfigError):
             PrognosisRequest(rho_p=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters(self, value):
+        for field in ("rate_nominal", "p_high", "epsilon", "s0"):
+            with pytest.raises(InvalidConfigError, match=f"{field} must be finite"):
+                DegradationModel(**{"rate_nominal": 0.05, field: value})
+        with pytest.raises(InvalidConfigError, match="h_min must be finite"):
+            EventThreshold(h_min=value)
+        for field in ("rho_p", "t_p"):
+            with pytest.raises(InvalidConfigError, match=f"{field} must be finite"):
+                PrognosisRequest(**{field: value})
+        with pytest.raises(InvalidConfigError, match="sigma_max must be finite"):
+            max_prediction_health(MODEL, value)
 
     def test_result_csv(self, tmp_path):
         res = prognose(MODEL, PrognosisRequest(rho_p=1.0, horizon=20))
