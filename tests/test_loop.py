@@ -14,6 +14,7 @@ from hadm.loop import (
     OfflinePolicyProvider,
     OnlineExpectimaxProvider,
     SerPolicy,
+    SerReport,
     arbitrate,
     belief_summary,
     most_likely_state,
@@ -21,7 +22,7 @@ from hadm.loop import (
     terminal_mass,
     validate_ser,
 )
-from hadm.model import extract_policy, point_mass, value_iterate
+from hadm.model import Problem, extract_policy, point_mass, value_iterate
 from hadm.rover import Plant, builtin_scenario, compile_scenario
 from hadm.strategies import make_provider
 
@@ -165,6 +166,177 @@ class TestSerValidation:
                         safe_set=safe, step_bound=0)
         report = validate_ser(p, ser)
         assert any("exceeding the bound" in v for v in report.violations)
+
+
+def stack_validate_ser(problem: Problem, ser: SerPolicy) -> SerReport:
+    """Exhaustively check the safety policy offline.
+
+    From every state the policy covers, executing its actions must reach
+    the safe set (or a terminal state) along every stochastic branch,
+    without cycles and within the step bound.  Findings are reported, not
+    raised.
+    """
+    report = SerReport()
+    members = set(ser.actions) if callable(ser.member) else set(ser.member)
+    bound = ser.step_bound if ser.step_bound is not None else problem.n_states
+
+    for s in sorted(members):
+        if s in ser.safe_set or problem.is_terminal(s):
+            continue
+        if ser.actions.get(s) is None:
+            report.violations.append(
+                f"no response defined for covered state {problem.state_labels[s]!r}"
+            )
+
+    seen_cycles = set()
+    # depth[state] = worst-case steps still needed to reach safety, or None
+    # once the state is known to fail.
+    resolved = {}
+    expand = object()
+
+    def settle(s, path):
+        """Depth of ``s`` if known without its successors, else ``expand``."""
+        if s in ser.safe_set or problem.is_terminal(s):
+            return 0
+        if s in resolved:
+            return resolved[s]
+        if s in path:
+            states = list(path)
+            cycle = tuple(sorted(set(states[states.index(s):])))
+            if cycle not in seen_cycles:
+                seen_cycles.add(cycle)
+                labels = ", ".join(repr(problem.state_labels[x]) for x in cycle)
+                report.violations.append(
+                    f"response cycle never reaches the safe set: {labels}"
+                )
+            return None
+        a = ser.actions.get(s)
+        if a is None:
+            if s not in members:
+                report.violations.append(
+                    f"no response defined for reachable state "
+                    f"{problem.state_labels[s]!r}"
+                )
+            resolved[s] = None
+            return None
+        if a not in problem.admissible[s]:
+            report.violations.append(
+                f"response {problem.action_labels[a]!r} is inadmissible at "
+                f"state {problem.state_labels[s]!r}"
+            )
+            resolved[s] = None
+            return None
+        return expand
+
+    def chase(root):
+        """Depth-first walk of the response chains from ``root``.
+
+        ``path`` maps each state being expanded, root first, to
+        [its unvisited successors, worst depth so far]; an explicit stack
+        keeps long chains clear of the recursion limit.  A failing
+        successor fails every state on the path.
+        """
+        path = {}
+        s, d = root, settle(root, path)
+        while True:
+            if d is expand:
+                a = ser.actions[s]
+                path[s] = [iter([s2 for s2, p in problem.transitions[(s, a)]
+                                 if p > 0.0]), 0]
+            elif d is None:
+                resolved.update(dict.fromkeys(path))
+                return None
+            elif not path:
+                return d
+            else:
+                frame = path[next(reversed(path))]
+                frame[1] = max(frame[1], d)
+            top = next(reversed(path))
+            pending, worst = path[top]
+            s = next(pending, None)
+            if s is None:  # every successor reached safety
+                del path[top]
+                d = resolved[top] = worst + 1
+            else:
+                d = settle(s, path)
+
+    for s in sorted(members):
+        d = chase(s)
+        if d is not None and d > bound:
+            report.violations.append(
+                f"safety takes {d} steps from {problem.state_labels[s]!r}, "
+                f"exceeding the bound of {bound}"
+            )
+    return report
+
+
+@st.composite
+def ser_cases(draw):
+    """(problem, safety policy) pairs that reach every kind of finding.
+
+    Successors may be the state itself or any other state, so responses
+    form self-loops and cycles; some successors have probability 0.
+    Responses may be missing, None or inadmissible, and the membership is
+    either a state set or a channel predicate over the response table.
+    """
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 3))
+    terminal = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    admissible, transitions = [], {}
+    for s in range(n):
+        if s in terminal:
+            admissible.append((0,))
+            transitions[(s, 0)] = ((s, 1.0),)
+            continue
+        acts = tuple(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))))
+        admissible.append(acts)
+        for a in acts:
+            succs = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                  max_size=3, unique=True))
+            weights = [draw(st.integers(0, 2)) for _ in succs]
+            weights[draw(st.integers(0, len(succs) - 1))] += 1
+            z = sum(weights)
+            transitions[(s, a)] = tuple((s2, w / z) for s2, w in zip(succs, weights))
+    problem = Problem(
+        state_labels=tuple(f"s{i}" for i in range(n)),
+        action_labels=tuple(f"a{i}" for i in range(m)),
+        admissible=tuple(admissible),
+        transitions=transitions,
+        rewards=dict.fromkeys(transitions, 0.0),
+        terminal=frozenset(terminal),
+        horizon=n,
+    )
+    actions = {}
+    for s in range(n):
+        kind = draw(st.sampled_from(["admissible"] * 4 + ["any", "none", "missing"]))
+        if kind == "admissible":
+            actions[s] = draw(st.sampled_from(admissible[s]))
+        elif kind == "any":
+            actions[s] = draw(st.integers(0, m - 1))
+        elif kind == "none":
+            actions[s] = None
+    states = st.integers(0, n - 1)
+    member = draw(st.one_of(st.sets(states, min_size=1), st.sets(states),
+                            st.just(lambda ch: False)))
+    ser = SerPolicy(
+        member=member,
+        actions=actions,
+        safe_set=frozenset(draw(st.sets(states, max_size=2))),
+        step_bound=draw(st.one_of(st.none(), st.integers(0, 3), st.integers(0, n + 1))),
+    )
+    return problem, ser
+
+
+class TestSerValidationAgainstStackOracle:
+    """The validator against the explicit-stack walk it replaced, which
+    reports the same findings in the same order."""
+
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    @given(ser_cases())
+    def test_violations_equal_the_stack_walk(self, case):
+        problem, ser = case
+        assert (validate_ser(problem, ser).violations
+                == stack_validate_ser(problem, ser).violations)
 
 
 class TestRunLoop:

@@ -692,6 +692,116 @@ class TestOpenAndClosedLoop:
             evaluate_policy(p, [Policy(actions={0: 0, 1: 0, 2: 1})], t=1)
 
 
+def tree_open_loop(problem, s0, behavior, horizon=None):
+    """Open-loop expectation by plain recursion over the scenario tree.
+
+    Collects the leaves as (probability, total reward) in depth-first
+    order, then merges totals rounded to 9 places as the solver does.
+    """
+    horizon = problem.horizon if horizon is None else horizon
+    if isinstance(behavior, Policy):
+        behavior = behavior.actions
+
+    def choices(s, pos):
+        if isinstance(behavior, list):
+            if pos == len(behavior):
+                return None, pos
+            return [(behavior[pos], 1.0)], pos + 1
+        choice = "uniform" if behavior == "uniform" else behavior.get(s, "uniform")
+        if choice == "uniform":
+            acts = problem.admissible[s]
+            return [(a, 1.0 / len(acts)) for a in acts], pos
+        if isinstance(choice, int):
+            return [(choice, 1.0)], pos
+        return list(choice), pos
+
+    def leaves(s, depth, prob, total, disc, pos):
+        dist, pos = choices(s, pos)
+        if problem.is_terminal(s) or depth > horizon or dist is None:
+            return [(prob, total)]
+        found = []
+        for a, pa in dist:
+            for s2, p in problem.transitions[(s, a)]:
+                if pa > 0.0 and p > 0.0:
+                    rho = problem.transition_rewards.get((s, a, s2), 0.0)
+                    gain = disc * (problem.rewards[(s, a)] + problem.gamma * rho)
+                    found += leaves(s2, depth + 1, prob * pa * p, total + gain,
+                                    disc * problem.gamma, pos)
+        return found
+
+    found = leaves(s0, 0, 1.0, 0.0, 1.0, 0)
+    merged = {}
+    for prob, total in found:
+        merged[round(total, 9)] = merged.get(round(total, 9), 0.0) + prob
+    scenarios = sorted(((p, t) for t, p in merged.items()), key=lambda x: -x[1])
+    return sum(p * t for p, t in found), scenarios
+
+
+@st.composite
+def open_loop_cases(draw):
+    """(problem, start, behavior, horizon) for the open-loop walk.
+
+    Every non-terminal state admits every action, so any drawn plan is
+    admissible wherever it leads.  Mappings are partial and mix fixed,
+    ``"uniform"`` and stochastic entries, some with probability 0.
+    """
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2))
+    terminal = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    admissible, transitions, rewards, transition_rewards = [], {}, {}, {}
+    for s in range(n):
+        acts = (0,) if s in terminal else tuple(range(m))
+        admissible.append(acts)
+        for a in acts:
+            if s in terminal:
+                transitions[(s, a)], rewards[(s, a)] = ((s, 1.0),), 0.0
+                continue
+            succs = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                  max_size=2, unique=True))
+            weights = [draw(st.integers(0, 2)) for _ in succs]
+            weights[0] += 1
+            z = sum(weights)
+            transitions[(s, a)] = tuple((s2, w / z) for s2, w in zip(succs, weights))
+            rewards[(s, a)] = draw(_amounts)
+            for s2 in succs:
+                if draw(st.booleans()):
+                    transition_rewards[(s, a, s2)] = draw(_amounts)
+    problem = Problem(
+        state_labels=tuple(f"s{i}" for i in range(n)),
+        action_labels=tuple(f"a{i}" for i in range(m)),
+        admissible=tuple(admissible),
+        transitions=transitions,
+        rewards=rewards,
+        terminal=frozenset(terminal),
+        gamma=draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0))),
+        horizon=draw(st.integers(0, 3)),
+        transition_rewards=transition_rewards,
+    )
+    actions = st.integers(0, m - 1)
+    stochastic = st.lists(
+        st.tuples(actions, st.sampled_from([0.0, 0.25, 0.5, 1.0])), min_size=1,
+        max_size=2,
+    ).map(tuple)
+    entries = st.one_of(actions, st.just("uniform"), stochastic)
+    behavior = draw(st.one_of(
+        st.just("uniform"),
+        st.lists(actions, max_size=5),
+        st.dictionaries(st.integers(0, n - 1), entries),
+        st.dictionaries(st.integers(0, n - 1), actions).map(Policy),
+    ))
+    horizon = draw(st.one_of(st.none(), st.integers(0, 3)))
+    return problem, draw(st.integers(0, n - 1)), behavior, horizon
+
+
+class TestOpenLoopAgainstTreeOracle:
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(open_loop_cases())
+    def test_expectation_and_scenarios_equal_the_tree(self, case):
+        problem, s0, behavior, horizon = case
+        assert (open_loop_expectation(problem, s0, behavior, horizon)
+                == tree_open_loop(problem, s0, behavior, horizon))
+
+
 # Values that stress the bit-for-bit agreement of the two solver paths:
 # signed zeros, exact small numbers and arbitrary finite floats.
 _amounts = st.one_of(
