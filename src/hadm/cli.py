@@ -244,15 +244,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    flags = {
+        "--seed": {"type": int, "default": 0},
+        "--max-states": {"type": int, "default": 10**6},
+        "--out": {"default": None, "help": "artifact output path"},
+    }
+
+    def common(p, *names):
+        """``--scenario`` plus those of ``flags`` the subcommand reads."""
         p.add_argument("--scenario", required=True,
                        help="builtin:N (1-4) or a scenario JSON file path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-states", type=int, default=10**6)
-        p.add_argument("--out", default=None, help="artifact output path")
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p_run = sub.add_parser("run", help="execute one episode")
-    common(p_run)
+    common(p_run, "--seed", "--max-states", "--out")
     p_run.add_argument("--strategy", default="hadm", choices=sorted(STRATEGIES))
     p_run.add_argument("--format", default="table",
                        choices=["table", "csv", "jsonl"])
@@ -261,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare strategies")
-    common(p_cmp)
+    common(p_cmp, "--seed", "--max-states", "--out")
     p_cmp.add_argument("--strategies", default=None,
                        help="comma-separated; default: all applicable")
     p_cmp.add_argument("--rollouts", type=int, default=1000)
@@ -270,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_pre = sub.add_parser("predict", help="prognostics sweep")
-    common(p_pre)
+    common(p_pre, "--out")
     p_pre.add_argument("--rho", type=float, action="append",
                        help="prediction health fraction (repeatable)")
     p_pre.add_argument("--dist-out", default=None,
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.set_defaults(func=cmd_predict)
 
     p_sol = sub.add_parser("solve", help="solve a scenario")
-    common(p_sol)
+    common(p_sol, "--max-states")
     p_sol.add_argument("--policy-out", default=None)
     p_sol.add_argument("--value-out", default=None)
     p_sol.set_defaults(func=cmd_solve)

@@ -24,6 +24,7 @@ from .model import (
     belief_update,
     point_mass,
     q_value,
+    run_walk,
     validate_belief,
     value_iterate,
 )
@@ -174,13 +175,14 @@ def validate_ser(problem: Problem, ser: SerPolicy) -> SerReport:
             )
 
     seen_cycles = set()
-    # depth[state] = worst-case steps still needed to reach safety, or None
-    # once the state is known to fail.
+    # Worst-case steps from a finished state to safety, or None once the
+    # state is known to fail.
     resolved = {}
-    expand = object()
+    path = {}  # the states being expanded, in walk order
 
-    def settle(s, path):
-        """Depth of ``s`` if known without its successors, else ``expand``."""
+    def steps(s):
+        """Worst-case steps from ``s`` to safety, or None when a branch
+        fails; a failing successor fails every state on the path."""
         if s in ser.safe_set or problem.is_terminal(s):
             return 0
         if s in resolved:
@@ -211,42 +213,21 @@ def validate_ser(problem: Problem, ser: SerPolicy) -> SerReport:
             )
             resolved[s] = None
             return None
-        return expand
-
-    def chase(root):
-        """Depth-first walk of the response chains from ``root``.
-
-        ``path`` maps each state being expanded, root first, to
-        [its unvisited successors, worst depth so far]; an explicit stack
-        keeps long chains clear of the recursion limit.  A failing
-        successor fails every state on the path.
-        """
-        path = {}
-        s, d = root, settle(root, path)
-        while True:
-            if d is expand:
-                a = ser.actions[s]
-                path[s] = [iter([s2 for s2, p in problem.transitions[(s, a)]
-                                 if p > 0.0]), 0]
-            elif d is None:
-                resolved.update(dict.fromkeys(path))
-                return None
-            elif not path:
-                return d
-            else:
-                frame = path[next(reversed(path))]
-                frame[1] = max(frame[1], d)
-            top = next(reversed(path))
-            pending, worst = path[top]
-            s = next(pending, None)
-            if s is None:  # every successor reached safety
-                del path[top]
-                d = resolved[top] = worst + 1
-            else:
-                d = settle(s, path)
+        path[s] = None
+        worst = 0
+        for s2, p in problem.transitions[(s, a)]:
+            if p > 0.0:
+                d = yield steps(s2)
+                if d is None:
+                    worst = None
+                    break
+                worst = max(worst, d)
+        del path[s]
+        resolved[s] = None if worst is None else worst + 1
+        return resolved[s]
 
     for s in sorted(members):
-        d = chase(s)
+        d = run_walk(steps(s))
         if d is not None and d > bound:
             report.violations.append(
                 f"safety takes {d} steps from {problem.state_labels[s]!r}, "

@@ -293,50 +293,61 @@ def _sweep(problem: Problem, u: Mapping) -> dict:
     }
 
 
-def _backward_order(problem: Problem):
-    """Non-terminal states children first, and the longest remaining path
-    of any state counted in actions; ``None`` when the successor graph
-    over the non-terminal states has a cycle.
+def run_walk(walk):
+    """Run a recursive generator to its return value without recursing.
 
-    A depth-first walk on an explicit stack, so long chains do not hit
-    the recursion limit.
+    ``walk`` is written as the plain recursive function it describes,
+    with ``yield walk(...)`` in place of each recursive call; that yield
+    evaluates to the call's return value.  The driver keeps the pending
+    calls on a list, so a walk may go deeper than the recursion limit.
     """
+    stack = [walk]
+    value = None
+    while stack:
+        try:
+            call = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(call)
+            value = None
+    return value
+
+
+class _NoBackwardPass(Exception):
+    """The non-terminal states form a cycle, or a path longer than the horizon."""
+
+
+def _backward_pass(problem: Problem, horizon: int) -> dict:
+    """Every state's value from one backup each, children first, with
+    terminals at 0.0; raises ``_NoBackwardPass`` unless every path takes
+    at most ``horizon + 1`` actions."""
     terminal = problem.terminal
-    transitions = problem.transitions
+    u = dict.fromkeys(terminal, 0.0)
+    # Longest remaining path in actions; infinite while the state is on
+    # the walk's path, so a cycle fails the same check as a long path.
+    depth = {}
 
-    def children(s):
-        return [
-            s2
-            for a in problem.admissible[s]
-            for s2, _ in transitions[(s, a)]
-            if s2 not in terminal
-        ]
-
-    depth = {}  # finished state -> longest remaining path
-    order = []
-    for root in range(problem.n_states):
-        if root in terminal or root in depth:
-            continue
-        kids = children(root)
-        stack = [(root, kids, iter(kids))]
-        on_path = {root}
-        while stack:
-            s, kids, pending = stack[-1]
-            for s2 in pending:
-                if s2 in depth:
+    def backup(s):
+        depth[s] = math.inf
+        longest = 0
+        for a in problem.admissible[s]:
+            for s2, _ in problem.transitions[(s, a)]:
+                if s2 in terminal:
                     continue
-                if s2 in on_path:
-                    return None
-                on_path.add(s2)
-                grandkids = children(s2)
-                stack.append((s2, grandkids, iter(grandkids)))
-                break
-            else:
-                stack.pop()
-                on_path.discard(s)
-                depth[s] = 1 + max((depth[s2] for s2 in kids), default=0)
-                order.append(s)
-    return order, max(depth.values(), default=0)
+                if s2 not in depth:
+                    yield backup(s2)
+                longest = max(longest, depth[s2])
+                if longest > horizon:
+                    raise _NoBackwardPass
+        depth[s] = longest + 1
+        u[s] = max(q_value(problem, s, a, u) for a in problem.admissible[s])
+
+    for s in range(problem.n_states):
+        if s not in depth and s not in terminal:
+            run_walk(backup(s))
+    return {s: u[s] for s in range(problem.n_states)}  # sweeps' key order
 
 
 def value_iterate(
@@ -380,13 +391,11 @@ def value_iterate(
             )
 
     if horizon is not None and not return_stages:
-        backward = _backward_order(problem)
-        if backward is not None and backward[1] <= horizon + 1:
-            u = dict.fromkeys(problem.terminal, 0.0)
-            for s in backward[0]:
-                u[s] = max(q_value(problem, s, a, u) for a in problem.admissible[s])
-            values = {s: u[s] for s in range(problem.n_states)}  # sweeps' key order
-            return ValueTable(values, iterations=1, residual=0.0)
+        try:
+            return ValueTable(_backward_pass(problem, horizon), iterations=1,
+                              residual=0.0)
+        except _NoBackwardPass:
+            pass
 
     u = dict.fromkeys(range(problem.n_states), 0.0)
     stages = []
@@ -513,19 +522,15 @@ def open_loop_expectation(problem: Problem, s0: int, behavior, horizon: int = No
         raise InvalidConfigError("open-loop enumeration needs a finite horizon")
 
     leaves = []
-    # Depth-first with an explicit stack; children are pushed in reverse
-    # so that leaves come out in the order of a recursive walk.
-    stack = [(s0, 0, 1.0, 0.0, 1.0, 0)]
-    while stack:
-        s, depth, prob, total, disc, plan_pos = stack.pop()
+
+    def walk(s, depth, prob, total, disc, plan_pos):
         if problem.is_terminal(s) or depth > horizon:
             leaves.append((prob, total))
-            continue
-        dist, nxt_pos = _behavior_next(problem, behavior, s, plan_pos)
+            return
+        dist, plan_pos = _behavior_next(problem, behavior, s, plan_pos)
         if dist is None:  # plan exhausted
             leaves.append((prob, total))
-            continue
-        children = []
+            return
         for a, pa in dist:
             if pa <= 0.0:
                 continue
@@ -535,16 +540,11 @@ def open_loop_expectation(problem: Problem, s0: int, behavior, horizon: int = No
                 if p <= 0.0:
                     continue
                 rho = problem.transition_rewards.get((s, a, s2), 0.0)
-                children.append((
-                    s2,
-                    depth + 1,
-                    prob * pa * p,
-                    total + disc * (r + problem.gamma * rho),
-                    disc * problem.gamma,
-                    nxt_pos,
-                ))
-        stack.extend(reversed(children))
+                yield walk(s2, depth + 1, prob * pa * p,
+                           total + disc * (r + problem.gamma * rho),
+                           disc * problem.gamma, plan_pos)
 
+    run_walk(walk(s0, 0, 1.0, 0.0, 1.0, 0))
     merged = {}
     for prob, total in leaves:
         key = round(total, 9)
@@ -560,8 +560,7 @@ def closed_loop_value(problem: Problem, s0: int, horizon: int = None) -> float:
 
     Fully observable problems (no observation model) are solved by value
     iteration; otherwise the expectimax walks the beliefs reachable under
-    the observation model depth first, on an explicit stack, so long
-    horizons do not hit the recursion limit.
+    the observation model depth first.
     """
     if horizon is None:
         horizon = problem.horizon
@@ -574,10 +573,7 @@ def closed_loop_value(problem: Problem, s0: int, horizon: int = None) -> float:
     zeros = dict.fromkeys(range(problem.n_states), 0.0)
 
     def belief_value(b, lv):
-        """Value of belief ``b`` with ``lv`` levels left, as a generator:
-        it yields each (successor belief, levels) whose value it needs and
-        is sent that value back, so the driver below keeps the depth-first
-        visit order without recursing."""
+        """Value of belief ``b`` with ``lv`` levels left."""
         states = sorted(b)
         support = [s for s in states if b[s] > PROB_TOL]
         if lv == 0 or all(problem.is_terminal(s) for s in support):
@@ -606,20 +602,9 @@ def closed_loop_value(problem: Problem, s0: int, horizon: int = None) -> float:
                 if obs_p[o] <= PROB_TOL:
                     continue
                 b2 = belief_update(problem, b, a, o)
-                future += obs_p[o] * (yield b2, lv - 1)
+                future += obs_p[o] * (yield belief_value(b2, lv - 1))
             best = max(best, now + problem.gamma * future)
         memo[key] = best
         return best
 
-    stack = [belief_value(point_mass(problem.n_states, s0), horizon + 1)]
-    value = None
-    while stack:
-        try:
-            child = stack[-1].send(value)
-        except StopIteration as done:
-            stack.pop()
-            value = done.value
-        else:
-            stack.append(belief_value(*child))
-            value = None
-    return value
+    return run_walk(belief_value(point_mass(problem.n_states, s0), horizon + 1))

@@ -99,12 +99,6 @@ class PrognosisResult:
     distribution: list = field(default_factory=list)  # [(step, probability)]
     residual: float = 0.0
 
-    def mean_eol(self):
-        mass = sum(p for _, p in self.distribution)
-        if mass <= 0:
-            return math.nan
-        return sum(k * p for k, p in self.distribution) / mass
-
     def write_csv(self, fh: IO):
         writer = csv.writer(fh)
         writer.writerow(["step", "time", "probability"])

@@ -167,8 +167,7 @@ _SCENARIO_4 = {
         ],
         "mitigations": [
             {"fault_mode": "increased_friction", "action": "stop_and_cool_down",
-             "constraints": {"grades": ["flat", "downhill"]},
-             "mark_faulty": "drive_motor"}
+             "constraints": {"grades": ["flat", "downhill"]}}
         ],
     },
 }

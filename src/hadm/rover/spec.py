@@ -220,7 +220,6 @@ SCENARIO_SCHEMA = {
                             "action": _string,
                             "constraints": {"type": "object"},
                             "priority": {"type": "integer"},
-                            "mark_faulty": _string,
                         },
                     },
                 },
@@ -453,7 +452,7 @@ def load_scenario(doc: dict) -> ScenarioSpec:
         nominal_plan=tuple(doc.get("nominal_plan", ())),
         abort_plan=dict(doc.get("abort_plan", {})),
         shm_rules=_shm_rules(doc.get("shm_rules", {})),
-        degradation=DegradationSection(**doc["degradation"])
+        degradation=DegradationSection(**_integral(doc["degradation"], "horizon"))
         if doc.get("degradation")
         else None,
         override_aliases=doc.get("override_aliases", {}),
@@ -464,6 +463,14 @@ def load_scenario(doc: dict) -> ScenarioSpec:
     return spec
 
 
+def _integral(entry: Mapping, key: str) -> Mapping:
+    """``entry`` with its ``key`` value as an ``int``.  The schema's
+    ``integer`` type also admits integral floats such as 20.0 and 1e3."""
+    if isinstance(entry.get(key), float):
+        return {**entry, key: int(entry[key])}
+    return entry
+
+
 def _shm_rules(rules: Mapping) -> ShmRules:
     """The document's ``shm_rules`` as typed records; ``min_probability``
     is passed only when given, so its default stays on ``ShmRules``."""
@@ -472,7 +479,10 @@ def _shm_rules(rules: Mapping) -> ShmRules:
             tuple(ThresholdPredicate(**d) for d in rules.get("detectors", ()))
         ),
         diagnosis=tuple(DiagnosisRule(**d) for d in rules.get("diagnosis", ())),
-        mitigations=tuple(MitigationRule(**m) for m in rules.get("mitigations", ())),
+        mitigations=tuple(
+            MitigationRule(**_integral(m, "priority"))
+            for m in rules.get("mitigations", ())
+        ),
         **{k: v for k, v in rules.items() if k == "min_probability"},
     )
 

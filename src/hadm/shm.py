@@ -151,7 +151,6 @@ class MitigationRule:
     action: str
     constraints: Mapping = field(default_factory=dict)
     priority: int = 0
-    mark_faulty: str = None
 
 
 def select_recovery(

@@ -96,6 +96,37 @@ class TestExitCodes:
             ["compare", "--scenario", "builtin:2", "--rollouts", "0"]
         ) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--scenario", "builtin:3", "--seed", "1"],
+        ["solve", "--scenario", "builtin:3", "--out", "values.txt"],
+        ["predict", "--scenario", "builtin:1", "--seed", "1"],
+        ["predict", "--scenario", "builtin:1", "--max-states", "10"],
+    ])
+    def test_flag_the_subcommand_does_not_read_is_rejected(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[3:])}" in captured.err
+        assert not (tmp_path / "values.txt").exists()
+
+    def test_mark_faulty_is_rejected_by_the_schema(self, capsys, tmp_path):
+        from hadm.rover import builtin_scenario_dict
+
+        doc = builtin_scenario_dict(4)
+        doc["shm_rules"]["mitigations"][0]["mark_faulty"] = "drive_motor"
+        path = tmp_path / "mark_faulty.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["run", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario file:\n")
+        assert "$.shm_rules.mitigations[0]" in err
+        assert "'mark_faulty' was unexpected" in err
+
 
 def write_degradation(tmp_path, **degradation):
     path = tmp_path / "degradation.json"
@@ -146,6 +177,28 @@ class TestPredictExitCodes:
         # The rows are closed forms; without --dist-out no DP runs.
         assert run_cli(argv) == 0
         assert capsys.readouterr().out.startswith("rho_p,t_p,eol_det,")
+
+
+class TestIntegralFloats:
+    BASE = TestPredictExitCodes.BASE
+
+    @pytest.mark.parametrize("text, value", [("20.0", 20), ("1e3", 1000)])
+    def test_integral_float_horizon_reads_as_its_integer(
+        self, tmp_path, capsys, text, value
+    ):
+        # JSON Schema's integer type admits 20.0 and 1e3.
+        def predict(tag, horizon_text):
+            doc = {"name": "degradation", "kind": "prognostics",
+                   "degradation": {**self.BASE, "horizon": "HORIZON"}}
+            path = tmp_path / f"{tag}.json"
+            path.write_text(json.dumps(doc).replace('"HORIZON"', horizon_text),
+                            encoding="utf-8")
+            dist = tmp_path / f"{tag}-dist.csv"
+            assert run_cli(["predict", "--scenario", str(path),
+                            "--dist-out", str(dist)]) == 0
+            return capsys.readouterr().out, dist.read_bytes()
+
+        assert predict("float", text) == predict("int", str(value))
 
 
 class TestRunSummaries:

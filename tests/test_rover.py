@@ -111,6 +111,15 @@ class TestScenarioLoading:
         with pytest.raises(InvalidConfigError, match="non-negative"):
             load_scenario(doc)
 
+    def test_integral_float_priority_reads_as_its_integer(self):
+        doc = builtin_scenario_dict(4)
+        doc["shm_rules"]["mitigations"][0]["priority"] = 5.0
+        (rule,) = load_scenario(doc).shm_rules.mitigations
+        assert type(rule.priority) is int and rule.priority == 5
+        doc["shm_rules"]["mitigations"][0]["priority"] = 5.5
+        with pytest.raises(InvalidConfigError, match="is not of type 'integer'"):
+            load_scenario(doc)
+
 
 class TestEnergyAndThermalModels:
     def test_net_power_table(self):
