@@ -107,7 +107,7 @@ def cmd_run(args) -> int:
     ]
     if final.battery_wh is not None:
         summary.append(f"final battery: {final.battery_wh:g} Wh")
-    summary.append(f"final state: {final.label()}")
+    summary.append(f"final state: {compiled.problem.state_labels[plant.state]}")
     summary.append(f"terminal: {final.status if final.status != 'ok' else 'no'}")
     print("\n".join(summary))
     return 0

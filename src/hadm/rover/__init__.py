@@ -16,8 +16,6 @@ from .spec import (
     ScenarioSpec,
     load_scenario,
     load_scenario_file,
-    motor_temp_after,
-    net_power,
     validate_scenario_dict,
 )
 
@@ -38,8 +36,6 @@ __all__ = [
     "export_builtin",
     "load_scenario",
     "load_scenario_file",
-    "motor_temp_after",
-    "net_power",
     "resolve_overrides",
     "validate_scenario_dict",
 ]

@@ -2,8 +2,10 @@
 
 Time is event-driven: a state is taken at segment/activity boundaries
 and carries position, mission time, battery charge, motor temperature,
-activity status, and the terrain classes revealed so far.  Each
-stochastic row (a terrain reveal or an activity redo outcome) resolves
+activity status, and the terrain classes revealed so far.  Drives,
+science activities and cools advance time, battery and motor
+temperature through one step, ``_Compiler._step``; a charge ends at
+capacity.  Each stochastic row (a terrain reveal or an activity redo outcome) resolves
 one scenario random variable; ``CompiledScenario.outcomes`` names it and
 the value each successor stands for, so a plant can pin the row to a
 hidden ground truth.
@@ -16,12 +18,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from ..errors import InvalidConfigError, ResourceLimitError
 from ..model import Problem, ValueTable
-from .spec import ScenarioSpec, motor_temp_after, net_power
+from .spec import ScenarioSpec
 
 _TOL = 1e-9
 
@@ -32,7 +35,9 @@ MOTOR_FAILURE = "motor_failure"
 DEADLINE_MISSED = "deadline_missed"
 STUCK = "stuck"
 
-TERMINAL_STATUSES = (COMPLETE, STRANDED, MOTOR_FAILURE, DEADLINE_MISSED, STUCK)
+# What an action does to the motor temperature in ``_Compiler._step``.
+_HEAT = "heat"
+_COOL = "cool"
 
 
 def _round(x):
@@ -40,67 +45,43 @@ def _round(x):
 
 
 class RoverState(NamedTuple):
-    """One compiled state: every component named, all units explicit."""
+    """One compiled state: every component named, all units explicit.
+
+    ``science`` holds one status per declared activity and ``terrain``
+    one class (None until revealed) per declared region, both in the
+    spec's declaration order; ``label`` and ``components`` take their ids
+    from the spec.
+    """
 
     position: str
     time_h: float = 0.0
     battery_wh: Optional[float] = None
     temp_c: Optional[float] = None
-    science: tuple = ()  # ((activity id, "todo"|"redo"|"done"), ...)
-    terrain: tuple = ()  # ((region id, class or None), ...)
+    science: tuple = ()  # "todo" | "redo" | "done", per activity
+    terrain: tuple = ()  # class or None, per region
     status: str = OK
 
-    def science_status(self, act_id):
-        for aid, st in self.science:
-            if aid == act_id:
-                return st
-        raise InvalidConfigError(f"unknown activity {act_id!r}")
-
-    def terrain_class(self, region_id):
-        for rid, cls in self.terrain:
-            if rid == region_id:
-                return cls
-        raise InvalidConfigError(f"unknown region {region_id!r}")
-
-    def with_science(self, act_id, new_status):
-        return self._replace(
-            science=tuple(
-                (aid, new_status if aid == act_id else st) for aid, st in self.science
-            )
-        )
-
-    def with_terrain(self, region_id, cls):
-        return self._replace(
-            terrain=tuple(
-                (rid, cls if rid == region_id else c) for rid, c in self.terrain
-            )
-        )
-
-    def label(self):
+    def label(self, spec: ScenarioSpec) -> str:
         parts = [self.position, f"t={_round(self.time_h)}"]
         if self.battery_wh is not None:
             parts.append(f"b={_round(self.battery_wh)}")
         if self.temp_c is not None:
             parts.append(f"T={_round(self.temp_c)}")
-        for aid, st in self.science:
-            parts.append(f"{aid}={st}")
-        for rid, cls in self.terrain:
-            parts.append(f"{rid}={cls or '?'}")
+        parts += [f"{a.id}={st}" for a, st in zip(spec.activities, self.science)]
+        parts += [f"{r.id}={c or '?'}" for r, c in zip(spec.regions, self.terrain)]
         if self.status != OK:
             parts.append(self.status)
         return "|".join(parts)
 
-    def components(self):
+    def components(self, spec: ScenarioSpec):
         """Named state-vector components with unit-bearing names."""
         out = [("waypoint", self.position), ("time_h", _round(self.time_h))]
         if self.battery_wh is not None:
             out.append(("battery_wh", _round(self.battery_wh)))
         if self.temp_c is not None:
             out.append(("motor_temp_c", _round(self.temp_c)))
-        for aid, st in self.science:
-            out.append((f"science:{aid}", st))
-        for rid, cls in self.terrain:
-            out.append((f"terrain:{rid}", cls))
+        out += [(f"science:{a.id}", st) for a, st in zip(spec.activities, self.science)]
+        out += [(f"terrain:{r.id}", c) for r, c in zip(spec.regions, self.terrain)]
         out.append(("status", self.status))
         return out
 
@@ -151,7 +132,7 @@ class CompiledScenario:
         ch = self.channel_cache.get(s)
         if ch is None:
             st = self.states[s]
-            built = dict(st.components())
+            built = dict(st.components(self.spec))
             built["state_index"] = s
             built["at_charge_point"] = (
                 st.status == OK and self.spec.waypoint(st.position).charge_point
@@ -178,55 +159,35 @@ class CompiledScenario:
         return self.initial_state, policy
 
 
-def _sun_pieces(power, t0, duration):
-    """Split [t0, t0+duration] at the sunlight boundary: [(hours, in_sun)]."""
-    end = t0 + duration
-    sun_until = power.sunlight_until_h
-    if end <= sun_until:
-        return [(duration, True)]
-    if t0 >= sun_until:
-        return [(duration, False)]
-    return [(sun_until - t0, True), (end - sun_until, False)]
-
-
-def _integrate_battery(spec, battery, t0, duration, activity):
-    """Advance the battery over one action; returns (final, stranded)."""
-    if battery is None:
-        return None, False
-    cap = spec.battery.capacity_wh
-    if spec.power is None:
-        return _round(min(battery, cap)), False
-    b = battery
-    stranded = False
-    for hours, in_sun in _sun_pieces(spec.power, t0, duration):
-        b += net_power(spec, activity, in_sun) * hours
-        if b < -_TOL:
-            stranded = True
-        elif b > cap:
-            b = cap
-    return _round(b), stranded
-
-
 class _Compiler:
     def __init__(self, spec: ScenarioSpec):
         if spec.kind != "rover" or spec.mission is None:
             raise InvalidConfigError("only rover scenarios with a mission compile")
         self.spec = spec
         self.rv_defs = {}
+        regions = {r.id: i for i, r in enumerate(spec.regions)}
+        activities = {a.id: i for i, a in enumerate(spec.activities)}
+        self.required = tuple(activities[a] for a in spec.mission.require_activities)
         # One row per action index: (label, effect, target), where the
         # effect expands a state under the action and the target is the
-        # action's Segment or Activity (None for the others).  Per
-        # waypoint, ``drives`` lists its drive actions and ``sciences``
-        # (action, Activity) for its science actions, in action order.
+        # action's Segment or Activity (None for the others).  Each effect
+        # is bound to the decoded action: its target, the target's
+        # position in ``RoverState.terrain`` or ``.science``, and its load
+        # in watts.  Per waypoint, ``drives`` lists its drive actions and
+        # ``sciences`` (action, activity position) for its science actions,
+        # in action order.
         self.actions = []
         self.drives = {wp.id: [] for wp in spec.waypoints}
         self.sciences = {wp.id: [] for wp in spec.waypoints}
+        drive_w = spec.power.drive_w if spec.power else 0.0
         for seg in spec.segments:
             self.drives[seg.frm].append(len(self.actions))
-            self.actions.append((f"drive:{seg.id}", self._drive, seg))
-        for act in spec.activities:
-            self.sciences[act.waypoint].append((len(self.actions), act))
-            self.actions.append((f"science:{act.id}", self._science, act))
+            effect = partial(self._drive, seg, regions.get(seg.region), drive_w)
+            self.actions.append((f"drive:{seg.id}", effect, seg))
+        for i, act in enumerate(spec.activities):
+            self.sciences[act.waypoint].append((len(self.actions), i))
+            effect = partial(self._science, act, i)
+            self.actions.append((f"science:{act.id}", effect, act))
         self.charge = self.cool = None
         if spec.actions.allow_charge:
             self.charge = len(self.actions)
@@ -246,8 +207,8 @@ class _Compiler:
             time_h=0.0,
             battery_wh=spec.battery.initial_wh if spec.battery else None,
             temp_c=spec.thermal.nominal_c if spec.thermal else None,
-            science=tuple((a.id, "todo") for a in spec.activities),
-            terrain=tuple((r.id, None) for r in spec.regions),
+            science=("todo",) * len(spec.activities),
+            terrain=(None,) * len(spec.regions),
         )
 
     def finalize(self, st: RoverState) -> RoverState:
@@ -255,7 +216,7 @@ class _Compiler:
         if st.status != OK:
             return st
         m = self.spec.mission
-        done = all(st.science_status(a) == "done" for a in m.require_activities)
+        done = all(st.science[i] == "done" for i in self.required)
         if st.position == m.goal and done:
             if m.deadline_h is None or st.time_h <= m.deadline_h + _TOL:
                 return st._replace(status=COMPLETE)
@@ -295,10 +256,7 @@ class _Compiler:
         if st.status != OK:
             return [self.stay]
         out = list(self.drives[st.position])
-        out += [
-            a for a, act in self.sciences[st.position]
-            if st.science_status(act.id) != "done"
-        ]
+        out += [a for a, i in self.sciences[st.position] if st.science[i] != "done"]
         if self.charge is not None and self._charge_hours(st) is not None:
             out.append(self.charge)
         if self.cool is not None:
@@ -306,8 +264,59 @@ class _Compiler:
         return out
 
     def expand(self, st: RoverState, a: int):
-        _, effect, target = self.actions[a]
-        return effect(st, target)
+        return self.actions[a][1](st)
+
+    def _step(self, st, hours, watts, energy_wh=None, motor=None, **fields):
+        """``st`` after an action of ``hours`` that draws ``watts``: the
+        one place where time, battery and motor temperature advance.
+
+        The battery pays ``energy_wh`` when it is given, is integrated
+        over the sunlit and dark parts of the action under a ``power``
+        section, and is otherwise only rounded (a cool leaves it as it
+        is).  ``motor`` is ``_HEAT``, ``_COOL`` or None.  A battery below
+        zero strands the rover and a motor at its limit fails, which wins.
+        ``fields`` are set on the successor as given.
+        """
+        spec = self.spec
+        status = OK
+        b = st.battery_wh
+        if b is not None:
+            cap = spec.battery.capacity_wh
+            if energy_wh is not None:
+                b = _round(min(b - energy_wh, cap))
+                if b < -_TOL:
+                    status = STRANDED
+            elif spec.power is not None:
+                p, t0, end = spec.power, st.time_h, st.time_h + hours
+                sun, dark = (p.solar_w, 0.0), (0.0, p.heater_w)
+                if end <= p.sunlight_until_h:
+                    pieces = ((hours, sun),)
+                elif t0 >= p.sunlight_until_h:
+                    pieces = ((hours, dark),)
+                else:
+                    pieces = ((p.sunlight_until_h - t0, sun),
+                              (end - p.sunlight_until_h, dark))
+                for h, (solar, heater) in pieces:
+                    b += (solar - watts - heater) * h
+                    if b < -_TOL:
+                        status = STRANDED
+                    elif b > cap:
+                        b = cap
+                b = _round(b)
+            elif motor != _COOL:
+                b = _round(min(b, cap))
+        temp = st.temp_c
+        if temp is not None and motor is not None:
+            th = spec.thermal
+            if motor == _HEAT:
+                temp += th.heat_rate_c_per_h * hours
+                if temp >= th.limit_c - _TOL:
+                    status = MOTOR_FAILURE
+            else:
+                temp = max(th.nominal_c, float(temp) - th.cool_rate_c_per_h * hours)
+            temp = _round(temp)
+        return st._replace(time_h=_round(st.time_h + hours), battery_wh=b,
+                           temp_c=temp, status=status, **fields)
 
     def _charge_hours(self, st):
         """Hours to charge to full from ``st``; None where charging is not
@@ -325,103 +334,62 @@ class _Compiler:
             return hours
         return None
 
-    def _stay(self, st, _):
+    def _stay(self, st):
         return [_Branch(st, 1.0)]
 
-    def _terrain_branches(self, st, seg):
-        """(probability, class, rv assignment, state-with-reveal) per branch."""
-        if seg.terrain is not None or seg.region is None:
-            return [(1.0, seg.terrain, None, st)]
-        cls = st.terrain_class(seg.region)
-        if cls is not None:
-            return [(1.0, cls, None, st)]
-        rv = f"terrain:{seg.region}"
-        region = self.spec.region(seg.region)
-        self.rv_defs.setdefault(rv, dict(region.classes))
-        return [
-            (p, c, (rv, c), st.with_terrain(seg.region, c))
-            for c, p in region.classes.items()
-        ]
-
-    def _drive(self, st, seg):
-        spec = self.spec
+    def _drive(self, seg, region, watts, st):
+        """One branch per terrain class the drive may reveal."""
+        if seg.terrain is not None or region is None:
+            branches = [(1.0, seg.terrain, None, st.terrain)]
+        elif st.terrain[region] is not None:
+            branches = [(1.0, st.terrain[region], None, st.terrain)]
+        else:
+            rv = f"terrain:{seg.region}"
+            classes = self.spec.regions[region].classes
+            self.rv_defs.setdefault(rv, dict(classes))
+            before, after = st.terrain[:region], st.terrain[region + 1:]
+            branches = [(p, c, (rv, c), before + (c,) + after)
+                        for c, p in classes.items()]
+        motor = _HEAT if seg.heats_motor else None
         out = []
-        for prob, cls, assign, revealed in self._terrain_branches(st, seg):
-            nxt = revealed._replace(
-                position=seg.to, time_h=_round(st.time_h + seg.duration_h)
-            )
-            energy = 0.0
-            stranded = False
+        for prob, cls, assign, terrain in branches:
+            energy = None
             if seg.energy_wh is not None:
                 if cls not in seg.energy_wh:
                     raise InvalidConfigError(
                         f"segment {seg.id!r} has no energy for terrain {cls!r}"
                     )
                 energy = seg.energy_wh[cls]
-                if st.battery_wh is not None:
-                    b = _round(min(st.battery_wh - energy, spec.battery.capacity_wh))
-                    stranded = b < -_TOL
-                    nxt = nxt._replace(battery_wh=b)
-            elif st.battery_wh is not None:
-                b, stranded = _integrate_battery(
-                    spec, st.battery_wh, st.time_h, seg.duration_h, "drive"
-                )
-                nxt = nxt._replace(battery_wh=b)
-            if st.temp_c is not None and seg.heats_motor:
-                t2 = st.temp_c + spec.thermal.heat_rate_c_per_h * seg.duration_h
-                nxt = nxt._replace(temp_c=_round(t2))
-                if t2 >= spec.thermal.limit_c - _TOL:
-                    nxt = nxt._replace(status=MOTOR_FAILURE)
-            if stranded and nxt.status == OK:
-                nxt = nxt._replace(status=STRANDED)
-            out.append(_Branch(nxt, prob, assign, energy))
+            nxt = self._step(st, seg.duration_h, watts, energy, motor,
+                             position=seg.to, terrain=terrain)
+            out.append(_Branch(nxt, prob, assign, 0.0 if energy is None else energy))
         return out
 
-    def _science(self, st, act):
-        spec = self.spec
-        status = st.science_status(act.id)
-        t2 = _round(st.time_h + act.duration_h)
-        b, stranded = _integrate_battery(
-            spec, st.battery_wh, st.time_h, act.duration_h, act.id
-        )
-        base = st._replace(time_h=t2, battery_wh=b)
-        if stranded:
-            base = base._replace(status=STRANDED)
-        if status == "redo" or act.redo_prob <= 0.0:
-            nxt = base.with_science(act.id, "done")
-            return [_Branch(nxt, 1.0)]
+    def _science(self, act, i, st):
+        base = self._step(st, act.duration_h, act.load_w)
+        before, after = st.science[:i], st.science[i + 1:]
+        done = base._replace(science=before + ("done",) + after)
+        if st.science[i] == "redo" or act.redo_prob <= 0.0:
+            return [_Branch(done, 1.0)]
         rv = f"redo:{act.id}"
         self.rv_defs.setdefault(
             rv, {"false": 1.0 - act.redo_prob, "true": act.redo_prob}
         )
-        ok = base.with_science(act.id, "done")
-        redo = base.with_science(act.id, "redo")
+        redo = base._replace(science=before + ("redo",) + after)
         return [
-            _Branch(ok, 1.0 - act.redo_prob, (rv, "false")),
+            _Branch(done, 1.0 - act.redo_prob, (rv, "false")),
             _Branch(redo, act.redo_prob, (rv, "true")),
         ]
 
-    def _charge(self, st, _):
+    def _charge(self, st):
         nxt = st._replace(
             time_h=_round(st.time_h + self._charge_hours(st)),
             battery_wh=self.spec.battery.capacity_wh,
         )
         return [_Branch(nxt, 1.0)]
 
-    def _cool(self, st, _):
-        spec = self.spec
-        d = spec.actions.cool_grid_h
-        nxt = st._replace(time_h=_round(st.time_h + d))
-        if st.temp_c is not None:
-            t2 = motor_temp_after(spec, st.temp_c, 0.0, d)
-            nxt = nxt._replace(temp_c=_round(t2))
-        if st.battery_wh is not None and spec.power is not None:
-            b, stranded = _integrate_battery(
-                spec, st.battery_wh, st.time_h, d, "idle"
-            )
-            nxt = nxt._replace(battery_wh=b)
-            if stranded:
-                nxt = nxt._replace(status=STRANDED)
+    def _cool(self, st):
+        nxt = self._step(st, self.spec.actions.cool_grid_h, 0.0, motor=_COOL)
         return [_Branch(nxt, 1.0)]
 
 
@@ -455,7 +423,7 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
                     if len(states) >= max_states:
                         raise ResourceLimitError(
                             f"compiled state count exceeded {max_states} "
-                            f"(growing dimension near {s2_state.label()!r})"
+                            f"(growing dimension near {s2_state.label(spec)!r})"
                         )
                     index[s2_state] = len(states)
                     states.append(s2_state)
@@ -476,7 +444,7 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
                 outcomes[(s, a)] = (rv, tuple(br.assign[1] for br in expanded))
 
     n = len(states)
-    labels = tuple(st.label() for st in states)
+    labels = tuple(st.label(spec) for st in states)
     adm = tuple(admissible[s] for s in range(n))
     problem = Problem(
         state_labels=labels,

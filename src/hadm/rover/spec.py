@@ -1,4 +1,4 @@
-"""Declarative rover scenarios: schema, loading, and unit helpers.
+"""Declarative rover scenarios: schema and loading.
 
 A scenario is a JSON document (built-ins go through the same loader)
 describing a waypoint graph with terrain regions, activities, power and
@@ -524,8 +524,8 @@ def _cross_check(spec: ScenarioSpec):
 
 def _check_non_negative(spec: ScenarioSpec):
     """Durations and thermal rates only move time and temperature forward,
-    so motor temperatures stay at or above nominal, where the floor in
-    ``motor_temp_after`` leaves a heating step unchanged."""
+    so motor temperatures stay at or above nominal: the compiler floors a
+    cool at nominal, and a heating step needs no floor."""
     values = [(f"segment {s.id!r} duration_h", s.duration_h) for s in spec.segments]
     values += [(f"activity {a.id!r} duration_h", a.duration_h) for a in spec.activities]
     values.append(("actions.cool_grid_h", spec.actions.cool_grid_h))
@@ -545,30 +545,3 @@ def load_scenario_file(path) -> ScenarioSpec:
             raise InvalidConfigError(f"{path}: not valid JSON ({exc})") from exc
     return load_scenario(doc)
 
-
-def net_power(spec: ScenarioSpec, activity: str, in_sunlight: bool) -> float:
-    """Net battery power (W) for 'drive', 'idle', or a declared activity id."""
-    if spec.power is None:
-        raise InvalidConfigError("scenario has no power configuration")
-    p = spec.power
-    solar = p.solar_w if in_sunlight else 0.0
-    heater = 0.0 if in_sunlight else p.heater_w
-    if activity == "drive":
-        return solar - p.drive_w - heater
-    if activity == "idle":
-        return solar - heater
-    act = spec.activity(activity)
-    return solar - act.load_w - heater
-
-
-def motor_temp_after(
-    spec: ScenarioSpec, temp0: float, drive_h: float, cool_h: float
-) -> float:
-    """Temperature after driving then cooling, floored at nominal."""
-    if spec.thermal is None:
-        raise InvalidConfigError("scenario has no thermal configuration")
-    if drive_h < 0 or cool_h < 0:
-        raise InvalidConfigError("durations must be non-negative")
-    t = temp0 + spec.thermal.heat_rate_c_per_h * drive_h
-    t -= spec.thermal.cool_rate_c_per_h * cool_h
-    return max(spec.thermal.nominal_c, t)

@@ -19,8 +19,6 @@ from hadm.rover import (
     compile_scenario,
     export_builtin,
     load_scenario,
-    motor_temp_after,
-    net_power,
     resolve_overrides,
     validate_scenario_dict,
 )
@@ -121,22 +119,63 @@ class TestScenarioLoading:
             load_scenario(doc)
 
 
+def _moves(compiled, label):
+    """(state, successor) for every ``label`` transition out of an ok state."""
+    a, p = compiled.action(label), compiled.problem
+    return [
+        (compiled.states[s], compiled.states[s2])
+        for (s, b), rows in p.transitions.items()
+        if b == a and compiled.states[s].status == "ok"
+        for s2, _ in rows
+    ]
+
+
+def _net_watts(compiled, hours_of, sunset):
+    """Net battery watts per action label, over the transitions wholly in
+    sunlight and those wholly after ``sunset``; a transition that ends at
+    capacity hides its watts, so it is left out."""
+    cap = compiled.spec.battery.capacity_wh
+    sun, dark = {}, {}
+    for label, hours in hours_of.items():
+        for st, nxt in _moves(compiled, label):
+            if nxt.battery_wh == cap:
+                continue
+            watts = (nxt.battery_wh - st.battery_wh) / hours
+            if nxt.time_h <= sunset:
+                sun.setdefault(label, set()).add(watts)
+            elif st.time_h >= sunset:
+                dark.setdefault(label, set()).add(watts)
+    return sun, dark
+
+
 class TestEnergyAndThermalModels:
     def test_net_power_table(self):
-        spec = builtin_scenario(3)
-        assert net_power(spec, "drive", in_sunlight=True) == -50.0
-        assert net_power(spec, "sci1", in_sunlight=True) == 50.0
-        assert net_power(spec, "drive", in_sunlight=False) == -450.0
-        assert net_power(spec, "sci1", in_sunlight=False) == -350.0
-        assert net_power(spec, "idle", in_sunlight=True) == 250.0
-        assert net_power(spec, "idle", in_sunlight=False) == -150.0
+        # builtin:3 plus a one-hour idle (cool) action: sunlight until 12 h,
+        # solar 250 W, heater 150 W after sunset, drive 300 W, sci1 200 W.
+        doc = builtin_scenario_dict(3)
+        doc["actions"]["cool_grid_h"] = 1
+        compiled = compile_scenario(load_scenario(doc))
+        hours = {"drive:d01": 4, "drive:d12": 4, "science:sci1": 2, "cool:1h": 1}
+        sun, dark = _net_watts(compiled, hours, sunset=12)
+        assert sun == {"drive:d01": {-50.0}, "drive:d12": {-50.0},
+                       "science:sci1": {50.0}, "cool:1h": {250.0}}
+        assert dark == {"drive:d01": {-450.0}, "drive:d12": {-450.0},
+                        "science:sci1": {-350.0}, "cool:1h": {-150.0}}
 
-    def test_motor_temperature_model(self):
-        spec = builtin_scenario(4)
-        assert motor_temp_after(spec, 20.0, drive_h=2.0, cool_h=0.0) == 60.0
-        assert motor_temp_after(spec, 60.0, drive_h=0.0, cool_h=1.0) == 20.0
+    def test_motor_temperature_model(self, hill):
+        # builtin:4: climbing heats 20 C/h, cooling takes 40 C/h, nominal 20.
+        plant = Plant(hill, seed=0)
+        for label in ("drive:up0", "drive:up1"):
+            obs, _ = plant.step(hill.action(label))
+        assert obs.channels["motor_temp_c"] == 60.0
+        assert {nxt.temp_c for st, nxt in _moves(hill, "cool:1h")
+                if st.temp_c == 60} == {20.0}
         # Cooling never goes below nominal.
-        assert motor_temp_after(spec, 40.0, drive_h=0.0, cool_h=5.0) == 20.0
+        doc = builtin_scenario_dict(4)
+        doc["actions"]["cool_grid_h"] = 5
+        compiled = compile_scenario(load_scenario(doc))
+        assert {nxt.temp_c for st, nxt in _moves(compiled, "cool:5h")
+                if st.temp_c == 40} == {20.0}
 
 
 class TestCompilation:
@@ -357,8 +396,10 @@ def test_pinned_outcome_shows_in_the_successor(load):
             plant.step(a)
             reached = compiled.states[plant.state]
             if kind == "terrain":
-                assert reached.terrain_class(name) == value
+                regions = [r.id for r in compiled.spec.regions]
+                assert reached.terrain[regions.index(name)] == value
             else:
                 assert kind == "redo"
+                activities = [a.id for a in compiled.spec.activities]
                 want = {"false": "done", "true": "redo"}[value]
-                assert reached.science_status(name) == want
+                assert reached.science[activities.index(name)] == want
