@@ -194,7 +194,7 @@ def cmd_predict(args) -> int:
     lines = ["rho_p,t_p,eol_det,eol_stoch,sigma,rul"]
     for rho_p in rhos:
         t_p = (1.0 - rho_p) * model.s0 / model.rate_nominal
-        req = PrognosisRequest(rho_p=rho_p, t_p=t_p, horizon=deg.horizon)
+        req = PrognosisRequest(rho_p=rho_p, horizon=deg.horizon)
         res = closed_forms(model, req, threshold)
         lines.append(
             f"{rho_p!r},{t_p!r},{res.eol_det!r},{res.eol_stoch!r},"

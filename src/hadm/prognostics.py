@@ -79,13 +79,16 @@ class PrognosisRequest:
     """Prediction made when a fraction ``rho_p`` of full health remains."""
 
     rho_p: float = 1.0
-    t_p: float = 0.0
     horizon: int = 100
 
     def __post_init__(self):
-        _require_finite(self, "rho_p", "t_p")
+        _require_finite(self, "rho_p")
         if not (0.0 < self.rho_p <= 1.0):
             raise InvalidConfigError("rho_p must be in (0, 1]")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int):
+            raise InvalidConfigError(
+                f"prediction horizon must be an integer, got {self.horizon!r}"
+            )
         if self.horizon <= 0:
             raise InvalidConfigError("prediction horizon must be positive")
 

@@ -5,10 +5,10 @@ and carries position, mission time, battery charge, motor temperature,
 activity status, and the terrain classes revealed so far.  Drives,
 science activities and cools advance time, battery and motor
 temperature through one step, ``_Compiler._step``; a charge ends at
-capacity.  Each stochastic row (a terrain reveal or an activity redo outcome) resolves
-one scenario random variable; ``CompiledScenario.outcomes`` names it and
-the value each successor stands for, so a plant can pin the row to a
-hidden ground truth.
+capacity.  Each stochastic row (a terrain reveal or an activity redo
+outcome) resolves one scenario random variable;
+``CompiledScenario.outcomes`` names it and the value each successor
+stands for, so a plant can pin the row to a hidden ground truth.
 
 Branch-dependent energy costs and terminal values are attached as
 successor-dependent transition rewards, so realized per-step rewards
@@ -266,7 +266,7 @@ class _Compiler:
     def expand(self, st: RoverState, a: int):
         return self.actions[a][1](st)
 
-    def _step(self, st, hours, watts, energy_wh=None, motor=None, **fields):
+    def _step(self, st, hours, watts, energy_wh=None, motor=None):
         """``st`` after an action of ``hours`` that draws ``watts``: the
         one place where time, battery and motor temperature advance.
 
@@ -275,7 +275,6 @@ class _Compiler:
         section, and is otherwise only rounded (a cool leaves it as it
         is).  ``motor`` is ``_HEAT``, ``_COOL`` or None.  A battery below
         zero strands the rover and a motor at its limit fails, which wins.
-        ``fields`` are set on the successor as given.
         """
         spec = self.spec
         status = OK
@@ -316,7 +315,7 @@ class _Compiler:
                 temp = max(th.nominal_c, float(temp) - th.cool_rate_c_per_h * hours)
             temp = _round(temp)
         return st._replace(time_h=_round(st.time_h + hours), battery_wh=b,
-                           temp_c=temp, status=status, **fields)
+                           temp_c=temp, status=status)
 
     def _charge_hours(self, st):
         """Hours to charge to full from ``st``; None where charging is not
@@ -360,8 +359,8 @@ class _Compiler:
                         f"segment {seg.id!r} has no energy for terrain {cls!r}"
                     )
                 energy = seg.energy_wh[cls]
-            nxt = self._step(st, seg.duration_h, watts, energy, motor,
-                             position=seg.to, terrain=terrain)
+            nxt = self._step(st, seg.duration_h, watts, energy, motor)
+            nxt = nxt._replace(position=seg.to, terrain=terrain)
             out.append(_Branch(nxt, prob, assign, 0.0 if energy is None else energy))
         return out
 
@@ -393,9 +392,27 @@ class _Compiler:
         return [_Branch(nxt, 1.0)]
 
 
+def _check_action_labels(spec: ScenarioSpec, action_index: Mapping):
+    """Every plan entry, abort move and route move other than "uniform"
+    must name a compiled action; the error names the field."""
+    named = [(f"nominal_plan[{i}]", m) for i, m in enumerate(spec.nominal_plan)]
+    named += [(f"abort_plan.{wp}", m) for wp, m in spec.abort_plan.items()]
+    named += [
+        (f"routes[{i}].moves.{wp}", m)
+        for i, route in enumerate(spec.routes)
+        for wp, m in route.moves.items()
+        if m != "uniform"
+    ]
+    for name, move in named:
+        if move not in action_index:
+            raise InvalidConfigError(f"$.{name}: unknown action {move!r}")
+
+
 def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledScenario:
     """Compile a scenario into a validated Problem by forward reachability."""
     comp = _Compiler(spec)
+    action_index = {label: a for a, (label, _, _) in enumerate(comp.actions)}
+    _check_action_labels(spec, action_index)
     s0 = comp.finalize(comp.initial_state())
     states = [s0]
     index = {s0: 0}
@@ -464,7 +481,7 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
         initial_state=0,
         rv_defs=comp.rv_defs,
         outcomes=outcomes,
-        action_index={label: a for a, (label, _, _) in enumerate(comp.actions)},
+        action_index=action_index,
         targets=tuple(target for _, _, target in comp.actions),
         cool_action=comp.cool,
     )

@@ -520,6 +520,13 @@ def _cross_check(spec: ScenarioSpec):
             raise InvalidConfigError("mission start/goal not declared as waypoints")
         for act_id in spec.mission.require_activities:
             spec.activity(act_id)
+    # The terminal value adds the final charge or the margin to the deadline.
+    if spec.reward.terminal_battery and spec.battery is None:
+        raise InvalidConfigError("reward.terminal_battery needs a battery section")
+    if spec.reward.time_margin_bonus and (
+        spec.mission is None or spec.mission.deadline_h is None
+    ):
+        raise InvalidConfigError("reward.time_margin_bonus needs mission.deadline_h")
 
 
 def _check_non_negative(spec: ScenarioSpec):

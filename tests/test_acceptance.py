@@ -134,14 +134,15 @@ MODEL = DegradationModel(rate_nominal=0.05, p_high=0.2, epsilon=0.05, s0=1.0)
 
 
 def test_criterion_1_prognostic_closed_forms():
-    full = PrognosisRequest(rho_p=1.0, t_p=0.0, horizon=20)
-    late = PrognosisRequest(rho_p=0.25, t_p=15.0, horizon=20)
+    full = PrognosisRequest(rho_p=1.0, horizon=20)
+    late = PrognosisRequest(rho_p=0.25, horizon=20)
     ok = close(sigma(MODEL, full), 10.0 / 3.0, 0.01)
     ok &= close(sigma(MODEL, late), 0.8333333, 0.01)
     ok &= predict_eol_deterministic(MODEL, full) == 20.0
-    # Prediction at rho=0.25 happens at t_p = 15; the deterministic
-    # event sits exactly 5 units later, so the remaining useful life is 5.
-    ok &= late.t_p == 15.0
+    # Prediction at rho=0.25 happens at t_p = (1 - rho) * s0 / rate = 15;
+    # the deterministic event sits exactly 5 units later, so the remaining
+    # useful life is 5.
+    ok &= (1.0 - late.rho_p) * MODEL.s0 / MODEL.rate_nominal == 15.0
     ok &= predict_eol_deterministic(MODEL, late) == 5.0
     ok &= rul(MODEL, late) == 5.0
     report(1, "prognostic uncertainty and remaining-life closed forms", ok)

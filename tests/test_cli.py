@@ -80,6 +80,53 @@ class TestExitCodes:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli(["run", "--scenario", str(path)]) == 2
 
+    @pytest.mark.parametrize("n, drop, message", [
+        (3, ("battery", "power"), "reward.terminal_battery needs a battery section"),
+        (4, ("deadline_h",), "reward.time_margin_bonus needs mission.deadline_h"),
+    ])
+    @pytest.mark.parametrize("command", [["solve"], ["run"], ["compare"]])
+    def test_terminal_reward_without_its_input_is_config_error(
+        self, capsys, tmp_path, n, drop, message, command
+    ):
+        from hadm.rover import builtin_scenario_dict
+
+        doc = builtin_scenario_dict(n)
+        for key in drop:
+            (doc["mission"] if key == "deadline_h" else doc).pop(key)
+        path = tmp_path / "reward.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli([*command, "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("n, path, field", [
+        (2, ("nominal_plan", 1), "$.nominal_plan[1]"),
+        (2, ("routes", 1, "moves", "wp3"), "$.routes[1].moves.wp3"),
+        (4, ("abort_plan", "A"), "$.abort_plan.A"),
+    ], ids=["nominal_plan", "routes", "abort_plan"])
+    @pytest.mark.parametrize("command", [
+        ["solve"],
+        ["run", "--strategy", "hadm"],
+        ["run", "--strategy", "phm-commit"],
+        ["compare", "--rollouts", "1"],
+    ])
+    def test_unknown_action_label_is_config_error(
+        self, capsys, tmp_path, n, path, field, command
+    ):
+        from hadm.rover import builtin_scenario_dict
+
+        doc = builtin_scenario_dict(n)
+        *parents, leaf = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = "drive:X9"
+        scenario = tmp_path / "labels.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli([*command, "--scenario", str(scenario)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {field}: unknown action 'drive:X9'\n"
+        )
+
     def test_state_cap_is_resource_error(self, capsys):
         assert run_cli(
             ["run", "--scenario", "builtin:4", "--max-states", "10"]

@@ -99,7 +99,7 @@ class TestClosedForms:
         assert sigma(MODEL, req) == pytest.approx(10.0 / 3.0, abs=0.01)
 
     def test_sigma_quarter_health(self):
-        req = PrognosisRequest(rho_p=0.25, t_p=15.0, horizon=20)
+        req = PrognosisRequest(rho_p=0.25, horizon=20)
         assert sigma(MODEL, req) == pytest.approx(0.8333, abs=0.01)
 
     def test_sigma_linear_in_rho(self):
@@ -314,11 +314,15 @@ class TestValidation:
                 DegradationModel(**{"rate_nominal": 0.05, field: value})
         with pytest.raises(InvalidConfigError, match="h_min must be finite"):
             EventThreshold(h_min=value)
-        for field in ("rho_p", "t_p"):
-            with pytest.raises(InvalidConfigError, match=f"{field} must be finite"):
-                PrognosisRequest(**{field: value})
+        with pytest.raises(InvalidConfigError, match="rho_p must be finite"):
+            PrognosisRequest(rho_p=value)
         with pytest.raises(InvalidConfigError, match="sigma_max must be finite"):
             max_prediction_health(MODEL, value)
+
+    @pytest.mark.parametrize("horizon", [20.0, True, "20"])
+    def test_horizon_must_be_an_integer(self, horizon):
+        with pytest.raises(InvalidConfigError, match="must be an integer"):
+            PrognosisRequest(rho_p=1.0, horizon=horizon)
 
     def test_result_csv(self, tmp_path):
         res = prognose(MODEL, PrognosisRequest(rho_p=1.0, horizon=20))
