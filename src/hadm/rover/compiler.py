@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -142,21 +142,34 @@ class CompiledScenario:
 
     def route_policy(self, route_id: str):
         """(start state, partial state->action policy) for a declared route."""
-        route = self.spec.route(route_id)
+        if route_id not in self.route_policies:
+            raise InvalidConfigError(f"unknown route {route_id!r}")
+        return self.initial_state, self.route_policies[route_id]
+
+    @cached_property
+    def route_policies(self) -> dict:
+        """Route id -> the route's moves as a state -> action policy."""
+        return {r.id: self._move_policy(r.moves) for r in self.spec.routes}
+
+    @cached_property
+    def abort_policy(self) -> dict:
+        """The abort plan as a state -> action policy."""
+        return self._move_policy(self.spec.abort_plan)
+
+    def _move_policy(self, moves: Mapping) -> dict:
+        """The one reader of a waypoint -> move table: each OK state at a
+        waypoint it names maps to the move's action where that is
+        admissible, or to "uniform" where the table leaves the move open."""
         policy = {}
         for s, st in enumerate(self.states):
-            if st.status != OK:
-                continue
-            move = route.moves.get(st.position)
-            if move is None:
-                continue
+            move = moves.get(st.position) if st.status == OK else None
             if move == "uniform":
-                policy[s] = "uniform"
-            else:
-                a = self.action(move)
+                policy[s] = move
+            elif move is not None:
+                a = self.action_index[move]
                 if a in self.problem.admissible[s]:
                     policy[s] = a
-        return self.initial_state, policy
+        return policy
 
 
 class _Compiler:

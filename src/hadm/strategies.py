@@ -97,15 +97,11 @@ class PhmCommitProvider:
                     r.id: compiled.route_policy(r.id) for r in compiled.spec.routes
                 })
             self.route_id, self.expectations = compiled.route_choice
-        route = self.compiled.spec.route(self.route_id)
         s = most_likely_state(belief)
-        move = route.moves.get(self.compiled.states[s].position)
-        if move is None:
-            return None
-        if move == "uniform":
+        a = self.compiled.route_policies[self.route_id].get(s)
+        if a == "uniform":
             return self.rng.choice(sorted(problem.admissible[s]))
-        a = self.compiled.action(move)
-        return a if a in problem.admissible[s] else None
+        return a
 
 
 class ShmBaselineProvider:
@@ -183,13 +179,8 @@ class ShmBaselineProvider:
             recovery = self._run_pipeline(problem, s, observation, step)
             if recovery is not None:
                 return recovery
-            position = self.compiled.states[s].position
             if self.aborting:
-                move = spec.abort_plan.get(position)
-                if move is None:
-                    return None
-                a = self.compiled.action(move)
-                return a if a in problem.admissible[s] else None
+                return self.compiled.abort_policy.get(s)
             if self.pos >= len(self.plan):
                 return None
             a = self.plan[self.pos]
