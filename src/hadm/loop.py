@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import IO, Mapping
 
 from .errors import ImpossibleObservationError, InvalidConfigError, ModelError
@@ -261,34 +261,10 @@ class LoopTrace:
 
     def write_jsonl(self, fh: IO):
         for r in self.records:
-            fh.write(
-                json.dumps(
-                    {
-                        "step": r.step,
-                        "belief": r.belief,
-                        "action": r.action,
-                        "provider": r.provider,
-                        "observation": r.observation,
-                        "reward": r.reward,
-                        "cumulative": r.cumulative,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-        fh.write(
-            json.dumps(
-                {
-                    "terminal": self.terminal,
-                    "terminal_label": self.terminal_label,
-                    "truncated": self.truncated,
-                    "aborted": self.aborted,
-                    "total": self.total,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
+        summary = {f.name: getattr(self, f.name) for f in fields(self)}
+        del summary["records"]
+        fh.write(json.dumps(summary, sort_keys=True) + "\n")
 
     def write_csv(self, fh: IO):
         writer = csv.writer(fh)

@@ -108,6 +108,9 @@ class Problem:
                     r != 0.0 or self.transition_rewards.get((s, a, s), 0.0) != 0.0
                 ):
                     raise ModelError(f"terminal state {s} must absorb with zero reward")
+        for key, rho in self.transition_rewards.items():
+            if rho is None or not math.isfinite(rho):
+                raise ModelError(f"arrival reward undefined or non-finite for {key}")
         if self.observations is not None:
             if self.observation_labels is None:
                 raise ModelError("observations given without an observation alphabet")
@@ -427,7 +430,7 @@ def extract_policy(problem: Problem, u) -> Policy:
     for s in range(problem.n_states):
         best, best_q = None, -math.inf
         tied = []
-        for a in problem.admissible[s]:
+        for a in sorted(problem.admissible[s]):
             q = q_value(problem, s, a, values)
             if q > best_q + 1e-12:
                 best, best_q, tied = a, q, [a]

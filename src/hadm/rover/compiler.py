@@ -406,19 +406,25 @@ class _Compiler:
 
 
 def _check_action_labels(spec: ScenarioSpec, action_index: Mapping):
-    """Every plan entry, abort move and route move other than "uniform"
-    must name a compiled action; the error names the field."""
-    named = [(f"nominal_plan[{i}]", m) for i, m in enumerate(spec.nominal_plan)]
-    named += [(f"abort_plan.{wp}", m) for wp, m in spec.abort_plan.items()]
-    named += [
-        (f"routes[{i}].moves.{wp}", m)
-        for i, route in enumerate(spec.routes)
-        for wp, m in route.moves.items()
-        if m != "uniform"
-    ]
-    for name, move in named:
-        if move not in action_index:
-            raise InvalidConfigError(f"$.{name}: unknown action {move!r}")
+    """Every plan entry, abort move, route move other than "uniform" and
+    mitigation action other than "stop_and_cool_down" must name a compiled
+    action, and every abort or route key a waypoint; the error names the
+    field."""
+    waypoints = {wp.id for wp in spec.waypoints}
+    tables = [("abort_plan", spec.abort_plan, ())]
+    tables += [(f"routes[{i}].moves", r.moves, ("uniform",))
+               for i, r in enumerate(spec.routes)]
+    named = [(f"nominal_plan[{i}]", m, ()) for i, m in enumerate(spec.nominal_plan)]
+    for table, moves, free in tables:
+        for wp, m in moves.items():
+            if wp not in waypoints:
+                raise InvalidConfigError(f"$.{table}.{wp}: unknown waypoint {wp!r}")
+            named.append((f"{table}.{wp}", m, free))
+    named += [(f"shm_rules.mitigations[{i}].action", r.action, ("stop_and_cool_down",))
+              for i, r in enumerate(spec.shm_rules.mitigations)]
+    for name, label, free in named:
+        if label not in action_index and label not in free:
+            raise InvalidConfigError(f"$.{name}: unknown action {label!r}")
 
 
 def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledScenario:

@@ -9,6 +9,7 @@ baseline health-management rule tables.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -418,6 +419,7 @@ def load_scenario(doc: dict) -> ScenarioSpec:
     ``frm``), so field defaults live only on the dataclasses.
     """
     validate_scenario_dict(doc)
+    _check_finite(doc)
     regions = tuple(Region(**r) for r in doc.get("regions", ()))
     for r in regions:
         total = sum(r.classes.values())
@@ -461,6 +463,20 @@ def load_scenario(doc: dict) -> ScenarioSpec:
     _cross_check(spec)
     _check_non_negative(spec)
     return spec
+
+
+def _check_finite(doc: Mapping):
+    """Python's JSON reader parses ``NaN`` and ``Infinity`` as floats; no
+    number outside ``degradation``, which checks its own, may be one."""
+    stack = [(f"$.{k}", v) for k, v in doc.items() if k != "degradation"]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidConfigError(f"{path}: {value} is not a finite number")
+        if isinstance(value, dict):
+            stack += [(f"{path}.{k}", v) for k, v in value.items()]
+        elif isinstance(value, list):
+            stack += [(f"{path}[{i}]", v) for i, v in enumerate(value)]
 
 
 def _integral(entry: Mapping, key: str) -> Mapping:

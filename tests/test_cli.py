@@ -102,7 +102,9 @@ class TestExitCodes:
         (2, ("nominal_plan", 1), "$.nominal_plan[1]"),
         (2, ("routes", 1, "moves", "wp3"), "$.routes[1].moves.wp3"),
         (4, ("abort_plan", "A"), "$.abort_plan.A"),
-    ], ids=["nominal_plan", "routes", "abort_plan"])
+        (3, ("shm_rules", "mitigations", 0, "action"),
+         "$.shm_rules.mitigations[0].action"),
+    ], ids=["nominal_plan", "routes", "abort_plan", "mitigation"])
     @pytest.mark.parametrize("command", [
         ["solve"],
         ["run", "--strategy", "hadm"],
@@ -125,6 +127,60 @@ class TestExitCodes:
         assert run_cli([*command, "--scenario", str(scenario)]) == 2
         assert capsys.readouterr().err == (
             f"error: {field}: unknown action 'drive:X9'\n"
+        )
+
+    @pytest.mark.parametrize("n, table, key, move, field", [
+        (2, ("routes", 0, "moves"), "wpX", "drive:L1", "$.routes[0].moves.wpX"),
+        (4, ("abort_plan",), "nowhere", "drive:down1", "$.abort_plan.nowhere"),
+    ], ids=["routes", "abort_plan"])
+    @pytest.mark.parametrize("command", [
+        ["solve"],
+        ["run", "--strategy", "phm-commit"],
+        ["run", "--strategy", "shm-baseline"],
+        ["compare", "--rollouts", "1"],
+    ])
+    def test_unknown_waypoint_key_is_config_error(
+        self, capsys, tmp_path, n, table, key, move, field, command
+    ):
+        from hadm.rover import builtin_scenario_dict
+
+        doc = builtin_scenario_dict(n)
+        node = doc
+        for k in table:
+            node = node[k]
+        node[key] = move
+        scenario = tmp_path / "keys.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli([*command, "--scenario", str(scenario)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {field}: unknown waypoint {key!r}\n"
+        )
+
+    @pytest.mark.parametrize("n, path, value, field", [
+        (3, ("segments", 0, "duration_h"), math.inf, "$.segments[0].duration_h"),
+        (3, ("segments", 0, "duration_h"), math.nan, "$.segments[0].duration_h"),
+        (2, ("segments", 2, "energy_wh", "moderate"), math.inf,
+         "$.segments[2].energy_wh.moderate"),
+        (4, ("shm_rules", "detectors", 0, "limit"), -math.inf,
+         "$.shm_rules.detectors[0].limit"),
+    ], ids=["inf_duration", "nan_duration", "inf_energy", "inf_limit"])
+    @pytest.mark.parametrize("command", [["solve"], ["run"], ["compare"]])
+    def test_non_finite_number_is_config_error(
+        self, capsys, tmp_path, n, path, value, field, command
+    ):
+        from hadm.rover import builtin_scenario_dict
+
+        doc = builtin_scenario_dict(n)
+        *parents, leaf = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+        scenario = tmp_path / "non_finite.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli([*command, "--scenario", str(scenario)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {field}: {value} is not a finite number\n"
         )
 
     def test_state_cap_is_resource_error(self, capsys):

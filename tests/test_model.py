@@ -225,6 +225,20 @@ class TestProblemValidation:
                 horizon=1,
             )
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_reward(self, rho):
+        with pytest.raises(ModelError, match=r"non-finite for \(0, 0, 1\)"):
+            Problem(
+                state_labels=("a", "b"),
+                action_labels=("x",),
+                admissible=((0,), (0,)),
+                transitions={(0, 0): ((1, 1.0),), (1, 0): ((1, 1.0),)},
+                rewards={(0, 0): 0.0, (1, 0): 0.0},
+                terminal=frozenset({1}),
+                horizon=1,
+                transition_rewards={(0, 0, 1): rho},
+            )
+
     def test_inadmissible_action_raises(self):
         p = chain_problem()
         with pytest.raises(InadmissibleActionError):
@@ -518,22 +532,24 @@ class TestSolverOracles:
             assert r1 <= r0 * p.gamma + 1e-12
 
     def test_extract_policy_ties_lowest_index(self):
-        p = Problem(
-            state_labels=("a", "b"),
-            action_labels=("x", "y"),
-            admissible=((0, 1), (0,)),
-            transitions={
-                (0, 0): ((1, 1.0),),
-                (0, 1): ((1, 1.0),),
-                (1, 0): ((1, 1.0),),
-            },
-            rewards={(0, 0): 1.0, (0, 1): 1.0, (1, 0): 0.0},
-            terminal=frozenset({1}),
-            horizon=2,
-        )
-        pol = extract_policy(p, value_iterate(p))
-        assert pol[0] == 0
-        assert pol.ties[0] == (0, 1)
+        # The tie rule holds whatever order ``admissible`` lists actions in.
+        for order in ((0, 1), (1, 0)):
+            p = Problem(
+                state_labels=("a", "b"),
+                action_labels=("x", "y"),
+                admissible=(order, (0,)),
+                transitions={
+                    (0, 0): ((1, 1.0),),
+                    (0, 1): ((1, 1.0),),
+                    (1, 0): ((1, 1.0),),
+                },
+                rewards={(0, 0): 1.0, (0, 1): 1.0, (1, 0): 0.0},
+                terminal=frozenset({1}),
+                horizon=2,
+            )
+            pol = extract_policy(p, value_iterate(p))
+            assert pol[0] == 0
+            assert pol.ties[0] == (0, 1)
 
 
 class TestOpenAndClosedLoop:
