@@ -262,9 +262,8 @@ class LoopTrace:
     def write_jsonl(self, fh: IO):
         for r in self.records:
             fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
-        summary = {f.name: getattr(self, f.name) for f in fields(self)}
-        del summary["records"]
-        fh.write(json.dumps(summary, sort_keys=True) + "\n")
+        fh.write(json.dumps({f.name: getattr(self, f.name) for f in fields(self)
+                             if f.name != "records"}, sort_keys=True) + "\n")
 
     def write_csv(self, fh: IO):
         writer = csv.writer(fh)

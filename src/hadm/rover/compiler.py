@@ -163,12 +163,9 @@ class CompiledScenario:
         policy = {}
         for s, st in enumerate(self.states):
             move = moves.get(st.position) if st.status == OK else None
-            if move == "uniform":
-                policy[s] = move
-            elif move is not None:
-                a = self.action_index[move]
-                if a in self.problem.admissible[s]:
-                    policy[s] = a
+            a = self.action_index.get(move, move)  # "uniform" stays itself
+            if a == "uniform" or a in self.problem.admissible[s]:
+                policy[s] = a
         return policy
 
 
@@ -406,10 +403,9 @@ class _Compiler:
 
 
 def _check_action_labels(spec: ScenarioSpec, action_index: Mapping):
-    """Every plan entry, abort move, route move other than "uniform" and
-    mitigation action other than "stop_and_cool_down" must name a compiled
-    action, and every abort or route key a waypoint; the error names the
-    field."""
+    """Plan entries, abort and route moves (or "uniform" in a route) and
+    mitigation actions (or "stop_and_cool_down") must name compiled actions,
+    and abort and route keys waypoints; the error names the field."""
     waypoints = {wp.id for wp in spec.waypoints}
     tables = [("abort_plan", spec.abort_plan, ())]
     tables += [(f"routes[{i}].moves", r.moves, ("uniform",))

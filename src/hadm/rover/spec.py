@@ -466,8 +466,7 @@ def load_scenario(doc: dict) -> ScenarioSpec:
 
 
 def _check_finite(doc: Mapping):
-    """Python's JSON reader parses ``NaN`` and ``Infinity`` as floats; no
-    number outside ``degradation``, which checks its own, may be one."""
+    """No number outside ``degradation`` (checked on its own) is NaN or infinite."""
     stack = [(f"$.{k}", v) for k, v in doc.items() if k != "degradation"]
     while stack:
         path, value = stack.pop()
