@@ -11,6 +11,22 @@ def run_cli(argv):
     return main(argv)
 
 
+def builtin_with(tmp_path, n, path, value) -> str:
+    """A file holding built-in ``n``'s document with ``value`` set at the
+    key ``path``."""
+    from hadm.rover import builtin_scenario_dict
+
+    doc = builtin_scenario_dict(n)
+    *parents, leaf = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    return str(scenario)
+
+
 class TestExitCodes:
     def test_run_success(self, capsys):
         assert run_cli(["run", "--scenario", "builtin:2"]) == 0
@@ -114,24 +130,15 @@ class TestExitCodes:
     def test_unknown_action_label_is_config_error(
         self, capsys, tmp_path, n, path, field, command
     ):
-        from hadm.rover import builtin_scenario_dict
-
-        doc = builtin_scenario_dict(n)
-        *parents, leaf = path
-        node = doc
-        for key in parents:
-            node = node[key]
-        node[leaf] = "drive:X9"
-        scenario = tmp_path / "labels.json"
-        scenario.write_text(json.dumps(doc), encoding="utf-8")
-        assert run_cli([*command, "--scenario", str(scenario)]) == 2
+        scenario = builtin_with(tmp_path, n, path, "drive:X9")
+        assert run_cli([*command, "--scenario", scenario]) == 2
         assert capsys.readouterr().err == (
             f"error: {field}: unknown action 'drive:X9'\n"
         )
 
-    @pytest.mark.parametrize("n, table, key, move, field", [
-        (2, ("routes", 0, "moves"), "wpX", "drive:L1", "$.routes[0].moves.wpX"),
-        (4, ("abort_plan",), "nowhere", "drive:down1", "$.abort_plan.nowhere"),
+    @pytest.mark.parametrize("n, path, move, field", [
+        (2, ("routes", 0, "moves", "wpX"), "drive:L1", "$.routes[0].moves.wpX"),
+        (4, ("abort_plan", "nowhere"), "drive:down1", "$.abort_plan.nowhere"),
     ], ids=["routes", "abort_plan"])
     @pytest.mark.parametrize("command", [
         ["solve"],
@@ -140,20 +147,12 @@ class TestExitCodes:
         ["compare", "--rollouts", "1"],
     ])
     def test_unknown_waypoint_key_is_config_error(
-        self, capsys, tmp_path, n, table, key, move, field, command
+        self, capsys, tmp_path, n, path, move, field, command
     ):
-        from hadm.rover import builtin_scenario_dict
-
-        doc = builtin_scenario_dict(n)
-        node = doc
-        for k in table:
-            node = node[k]
-        node[key] = move
-        scenario = tmp_path / "keys.json"
-        scenario.write_text(json.dumps(doc), encoding="utf-8")
-        assert run_cli([*command, "--scenario", str(scenario)]) == 2
+        scenario = builtin_with(tmp_path, n, path, move)
+        assert run_cli([*command, "--scenario", scenario]) == 2
         assert capsys.readouterr().err == (
-            f"error: {field}: unknown waypoint {key!r}\n"
+            f"error: {field}: unknown waypoint {path[-1]!r}\n"
         )
 
     @pytest.mark.parametrize("n, path, value, field", [
@@ -168,17 +167,8 @@ class TestExitCodes:
     def test_non_finite_number_is_config_error(
         self, capsys, tmp_path, n, path, value, field, command
     ):
-        from hadm.rover import builtin_scenario_dict
-
-        doc = builtin_scenario_dict(n)
-        *parents, leaf = path
-        node = doc
-        for key in parents:
-            node = node[key]
-        node[leaf] = value
-        scenario = tmp_path / "non_finite.json"
-        scenario.write_text(json.dumps(doc), encoding="utf-8")
-        assert run_cli([*command, "--scenario", str(scenario)]) == 2
+        scenario = builtin_with(tmp_path, n, path, value)
+        assert run_cli([*command, "--scenario", scenario]) == 2
         assert capsys.readouterr().err == (
             f"error: {field}: {value} is not a finite number\n"
         )
