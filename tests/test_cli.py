@@ -184,6 +184,22 @@ class TestExitCodes:
              "--strategies", "phm-commit", "--rollouts", "1"]
         ) == 2
 
+    @pytest.mark.parametrize("strategies, message", [
+        ("phm-commit,hadm",
+         "strategy 'phm-commit' is not applicable to scenario 'recharge-decision'"),
+        ("hadm,phm-commit",
+         "unknown ground-truth variable 'weather'; declared: ['redo', 'redo:sci1']"),
+    ], ids=["inapplicable_first", "applicable_first"])
+    def test_bad_override_with_an_inapplicable_strategy(
+        self, capsys, strategies, message
+    ):
+        """The first listed strategy decides which error is reported."""
+        assert run_cli(
+            ["compare", "--scenario", "builtin:3", "--strategies", strategies,
+             "--rollouts", "1", "--set", "weather=sunny"]
+        ) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_zero_rollouts_is_config_error(self, capsys):
         assert run_cli(
             ["compare", "--scenario", "builtin:2", "--rollouts", "0"]
