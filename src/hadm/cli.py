@@ -32,9 +32,15 @@ from .prognostics import (
 )
 from .rover.builtins import builtin_scenario
 from .rover.compiler import compile_scenario
-from .rover.plant import Plant
+from .rover.plant import Plant, resolve_overrides, sample_assignments
 from .rover.spec import load_scenario_file
-from .strategies import STRATEGIES, analytic_expectation, applicable_strategies, make_provider
+from .strategies import (
+    STRATEGIES,
+    analytic_expectation,
+    applicable_strategies,
+    episode_total,
+    make_provider,
+)
 
 
 def _load_spec(arg: str):
@@ -129,17 +135,20 @@ def cmd_compare(args) -> int:
         raise InvalidConfigError("--rollouts must be at least 1")
 
     rows = []
+    truths = None  # each rollout's ground truth, shared by every strategy
     for name in names:
         if not STRATEGIES[name].applicable(spec):
             raise InvalidConfigError(
                 f"strategy {name!r} is not applicable to scenario {spec.name!r}"
             )
         analytic = analytic_expectation(compiled, name, overrides=overrides)
-        totals = []
-        for i in range(args.rollouts):
-            plant = Plant(compiled, seed=args.seed + i, overrides=overrides)
-            provider = make_provider(name, compiled, seed=args.seed + i)
-            totals.append(run_loop(plant, compiled.problem, provider).total)
+        if truths is None:
+            # Resolved after the first strategy's checks, which report first.
+            pinned = resolve_overrides(compiled, overrides)
+            truths = [sample_assignments(compiled, args.seed + i, pinned)
+                      for i in range(args.rollouts)]
+        totals = [episode_total(compiled, name, args.seed + i, truth)
+                  for i, truth in enumerate(truths)]
         mean = sum(totals) / len(totals)
         se = (
             statistics.stdev(totals) / math.sqrt(len(totals))

@@ -101,6 +101,9 @@ class CompiledScenario:
     and the ``phm-commit`` route choice once a provider has computed them;
     later providers on this object reuse them.  ``channel_cache`` holds
     each state's observation channels once a plant has visited it.
+    ``episode_tries`` holds the episode totals that
+    ``hadm.strategies.episode_total`` has computed, one trie per
+    (strategy, seed or None).
     """
 
     spec: ScenarioSpec
@@ -115,6 +118,9 @@ class CompiledScenario:
     table: ValueTable = field(default=None, init=False, repr=False, compare=False)
     route_choice: tuple = field(default=None, init=False, repr=False, compare=False)
     channel_cache: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    episode_tries: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

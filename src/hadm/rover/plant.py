@@ -1,11 +1,11 @@
 """Ground-truth simulator for compiled scenarios.
 
 A plant owns a hidden assignment of every scenario random variable
-(terrain classes, activity redo outcomes), sampled from a seeded
-generator at construction or pinned by explicit overrides.  Stepping the
-plant takes, in each stochastic row, the successor that stands for the
-assigned value of the row's variable, so re-running with the same seed
-reproduces the trace exactly.
+(terrain classes, activity redo outcomes): given explicitly, or drawn by
+``sample_assignments`` from a seeded generator with overrides pinned.
+Stepping the plant takes, in each stochastic row, the successor that
+stands for the assigned value of the row's variable, so re-running with
+the same seed reproduces the trace exactly.
 """
 from __future__ import annotations
 
@@ -56,25 +56,36 @@ def resolve_overrides(compiled: CompiledScenario, overrides) -> dict:
     return out
 
 
-class Plant:
-    """Executes actions against one sampled ground truth."""
+def sample_assignments(compiled: CompiledScenario, seed: int = 0, pinned=None) -> dict:
+    """One value per random variable, drawn from ``random.Random(seed)``
+    in sorted variable order; ``pinned`` values (resolved overrides)
+    replace the drawn ones, which are still drawn."""
+    rng = random.Random(seed)
+    out = {}
+    for rv in sorted(compiled.rv_defs):
+        roll = rng.random()
+        acc = 0.0
+        for value, p in compiled.rv_defs[rv].items():
+            acc += p
+            if roll < acc:
+                break
+        out[rv] = value
+    out.update(pinned or {})
+    return out
 
-    def __init__(self, compiled: CompiledScenario, seed: int = 0, overrides=None):
+
+class Plant:
+    """Executes actions against one ground truth: ``assignments`` when
+    given, else one sampled from ``seed`` with ``overrides`` pinned."""
+
+    def __init__(self, compiled: CompiledScenario, seed: int = 0, overrides=None,
+                 assignments=None):
         self.compiled = compiled
-        rng = random.Random(seed)
-        self.assignments = {}
-        for rv in sorted(compiled.rv_defs):
-            dist = compiled.rv_defs[rv]
-            roll = rng.random()
-            acc = 0.0
-            chosen = None
-            for value, p in dist.items():
-                acc += p
-                if roll < acc:
-                    chosen = value
-                    break
-            self.assignments[rv] = chosen if chosen is not None else value
-        self.assignments.update(resolve_overrides(compiled, overrides))
+        if assignments is None:
+            assignments = sample_assignments(
+                compiled, seed, resolve_overrides(compiled, overrides)
+            )
+        self.assignments = assignments
         self.state = compiled.initial_state
 
     def observe(self) -> SensorObservation:

@@ -91,17 +91,21 @@ class PhmCommitProvider:
 
     def decide(self, problem, belief, observation, step):
         if self.route_id is None:
-            compiled = self.compiled
-            if compiled.route_choice is None:
-                compiled.route_choice = phm_route_choice(compiled.problem, {
-                    r.id: compiled.route_policy(r.id) for r in compiled.spec.routes
-                })
-            self.route_id, self.expectations = compiled.route_choice
+            self.route_id, self.expectations = _route_choice(self.compiled)
         s = most_likely_state(belief)
         a = self.compiled.route_policies[self.route_id].get(s)
         if a == "uniform":
             return self.rng.choice(sorted(problem.admissible[s]))
         return a
+
+
+def _route_choice(compiled: CompiledScenario):
+    """``compiled.route_choice``, evaluated on the first request."""
+    if compiled.route_choice is None:
+        compiled.route_choice = phm_route_choice(compiled.problem, {
+            r.id: compiled.route_policy(r.id) for r in compiled.spec.routes
+        })
+    return compiled.route_choice
 
 
 class ShmBaselineProvider:
@@ -221,13 +225,65 @@ def applicable_strategies(spec) -> list:
     return [n for n, cls in STRATEGIES.items() if cls.applicable(spec)]
 
 
+class _PathReads:
+    """An assignment that logs each (variable, value) read, in order."""
+
+    def __init__(self, assignments):
+        self.assignments = assignments
+        self.path = []
+
+    def __getitem__(self, rv):
+        value = self.assignments[rv]
+        self.path.append((rv, value))
+        return value
+
+
+def episode_total(
+    compiled: CompiledScenario, strategy: str, seed: int, assignments
+) -> float:
+    """Total reward of ``strategy``'s episode from the given provider
+    seed against the ground truth ``assignments``.
+
+    An episode is a deterministic function of the (variable, value)
+    pairs its plant reads, in the order it reads them, so each total is
+    computed once: ``compiled.episode_tries`` holds one trie per
+    (strategy, seed or None) whose inner nodes ``(variable, {value:
+    child})`` name the next variable read and whose leaves are totals.
+    Only ``phm-commit`` draws from its seed, and only at the "uniform"
+    moves of the route it commits to; its trie is per seed just then.
+    A path not yet in the trie runs one episode and is added to it.
+    """
+    seeded = (strategy == "phm-commit" and compiled.spec.routes and "uniform"
+              in compiled.route_policies[_route_choice(compiled)[0]].values())
+    key = (strategy, seed if seeded else None)
+    node = compiled.episode_tries.get(key)
+    while type(node) is tuple:
+        rv, children = node
+        node = children.get(assignments[rv])
+    if node is not None:
+        return node
+    reads = _PathReads(assignments)
+    plant = Plant(compiled, assignments=reads)
+    provider = make_provider(strategy, compiled, seed=seed)
+    total = run_loop(plant, compiled.problem, provider).total
+    children, slot = compiled.episode_tries, key
+    for rv, value in reads.path:
+        node = children.get(slot)
+        if node is None:
+            node = children[slot] = (rv, {})
+        children, slot = node[1], value
+    children[slot] = total
+    return total
+
+
 def analytic_expectation(
     compiled: CompiledScenario, strategy: str, overrides=None
 ) -> float:
-    """Exact expected cumulative reward of a strategy by enumerating
-    every ground-truth assignment and replaying the (deterministic per
-    assignment) strategy against each.  Pinned variables keep their
-    pinned value instead of being enumerated."""
+    """Exact expected cumulative reward of a strategy: the
+    probability-weighted sum of its episode totals (``episode_total``,
+    seed 0) over every ground-truth assignment, in product order.
+    Pinned variables keep their pinned value instead of being
+    enumerated."""
     pinned = resolve_overrides(compiled, overrides)
     rvs = sorted(compiled.rv_defs)
     choices = [
@@ -236,16 +292,13 @@ def analytic_expectation(
         for rv in rvs
     ]
     total = 0.0
-    for combo in itertools.product(*choices) if rvs else [()]:
+    for combo in itertools.product(*choices):
         prob = 1.0
-        overrides = {}
+        assignments = {}
         for rv, (value, p) in zip(rvs, combo):
             prob *= p
-            overrides[rv] = value
+            assignments[rv] = value
         if prob <= 0.0:
             continue
-        plant = Plant(compiled, seed=0, overrides=overrides)
-        provider = make_provider(strategy, compiled, seed=0)
-        trace = run_loop(plant, compiled.problem, provider)
-        total += prob * trace.total
+        total += prob * episode_total(compiled, strategy, 0, assignments)
     return total
