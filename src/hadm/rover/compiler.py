@@ -93,6 +93,15 @@ class _Branch(NamedTuple):
     energy_wh: float = 0.0
 
 
+def _channels(spec: ScenarioSpec, st: RoverState, s: int) -> dict:
+    """The observation channels of state ``s``: its components, its index
+    and whether it is at a charge point.  The keys depend only on the spec."""
+    built = dict(st.components(spec))
+    built["state_index"] = s
+    built["at_charge_point"] = st.status == OK and spec.waypoint(st.position).charge_point
+    return built
+
+
 @dataclass
 class CompiledScenario:
     """A scenario compiled to a Problem plus the labeling metadata.
@@ -137,12 +146,7 @@ class CompiledScenario:
         """
         ch = self.channel_cache.get(s)
         if ch is None:
-            st = self.states[s]
-            built = dict(st.components(self.spec))
-            built["state_index"] = s
-            built["at_charge_point"] = (
-                st.status == OK and self.spec.waypoint(st.position).charge_point
-            )
+            built = _channels(self.spec, self.states[s], s)
             ch = self.channel_cache[s] = MappingProxyType(built)
         return ch
 
@@ -429,12 +433,34 @@ def _check_action_labels(spec: ScenarioSpec, action_index: Mapping):
             raise InvalidConfigError(f"$.{name}: unknown action {label!r}")
 
 
+def _check_channels(spec: ScenarioSpec, channels: Mapping):
+    """Detector channels and guard keys, and diagnosis channels and
+    ``parameters.channel`` values, must be keys of ``channels``; the
+    error names the field."""
+    rules = spec.shm_rules
+    named = []
+    for i, pred in enumerate(rules.detector.predicates):
+        named.append((f"detectors[{i}].channel", pred.channel))
+        named += [(f"detectors[{i}].when.{key}", key) for key in pred.when or {}]
+    for i, rule in enumerate(rules.diagnosis):
+        named.append((f"diagnosis[{i}].channel", rule.channel))
+        if "channel" in rule.parameters:
+            named.append((f"diagnosis[{i}].parameters.channel",
+                          rule.parameters["channel"]))
+    for name, channel in named:
+        if not isinstance(channel, str) or channel not in channels:
+            raise InvalidConfigError(
+                f"$.shm_rules.{name}: unknown channel {channel!r}"
+            )
+
+
 def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledScenario:
     """Compile a scenario into a validated Problem by forward reachability."""
     comp = _Compiler(spec)
     action_index = {label: a for a, (label, _, _) in enumerate(comp.actions)}
     _check_action_labels(spec, action_index)
     s0 = comp.finalize(comp.initial_state())
+    _check_channels(spec, _channels(spec, s0, 0))
     states = [s0]
     index = {s0: 0}
     queue = deque([0])

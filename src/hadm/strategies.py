@@ -15,14 +15,20 @@ Four strategies share one provider interface:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
-from .errors import EscalationRequired, InvalidConfigError
+from .errors import EscalationRequired, InvalidConfigError, ResourceLimitError
 from .loop import OnlineExpectimaxProvider, most_likely_state, run_loop
 from .rover.compiler import CompiledScenario
 from .rover.plant import Plant, resolve_overrides
 from .rover.spec import Activity, Segment
 from .shm import diagnose, phm_route_choice, prognose_fault, select_recovery
+
+
+# Cap on the ground-truth assignments ``analytic_expectation`` enumerates;
+# the same figure as the default compiled-state cap.
+MAX_GROUND_TRUTHS = 10**6
 
 
 class HadmProvider(OnlineExpectimaxProvider):
@@ -283,7 +289,8 @@ def analytic_expectation(
     probability-weighted sum of its episode totals (``episode_total``,
     seed 0) over every ground-truth assignment, in product order.
     Pinned variables keep their pinned value instead of being
-    enumerated."""
+    enumerated.  A product of more than ``MAX_GROUND_TRUTHS``
+    assignments raises ``ResourceLimitError`` before any episode runs."""
     pinned = resolve_overrides(compiled, overrides)
     rvs = sorted(compiled.rv_defs)
     choices = [
@@ -291,6 +298,12 @@ def analytic_expectation(
         else sorted(compiled.rv_defs[rv].items())
         for rv in rvs
     ]
+    size = math.prod(len(c) for c in choices)
+    if size > MAX_GROUND_TRUTHS:
+        raise ResourceLimitError(
+            f"{size} ground-truth assignments to enumerate exceed the cap "
+            f"of {MAX_GROUND_TRUTHS}"
+        )
     total = 0.0
     for combo in itertools.product(*choices):
         prob = 1.0

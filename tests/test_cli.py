@@ -1,6 +1,7 @@
 """Command-line tests: exit codes, summaries, artifact reproducibility."""
 import json
 import math
+import time
 
 import pytest
 
@@ -25,6 +26,25 @@ def builtin_with(tmp_path, n, path, value) -> str:
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     return str(scenario)
+
+
+def star(n) -> dict:
+    """A star: ``n`` segments from ``s``, each over its own two-class
+    region, then an easy segment on to ``g``."""
+    hubs = [f"m{i}" for i in range(n)]
+    return {
+        "name": f"star-{n}",
+        "kind": "rover",
+        "waypoints": [{"id": w} for w in ["s", "g", *hubs]],
+        "regions": [{"id": f"r{i}", "classes": {"hard": 0.5, "soft": 0.5}}
+                    for i in range(n)],
+        "segments": [{"id": f"in{i}", "from": "s", "to": m, "region": f"r{i}"}
+                     for i, m in enumerate(hubs)]
+        + [{"id": f"out{i}", "from": m, "to": "g", "terrain": "easy"}
+           for i, m in enumerate(hubs)],
+        "mission": {"start": "s", "goal": "g"},
+        "nominal_plan": ["drive:in0", "drive:out0"],
+    }
 
 
 class TestExitCodes:
@@ -173,10 +193,64 @@ class TestExitCodes:
             f"error: {field}: {value} is not a finite number\n"
         )
 
+    @pytest.mark.parametrize("n, path, value, field, channel", [
+        (2, ("shm_rules",),
+         {"detectors": [{"channel": "motor_temp_c", "op": ">", "limit": 40}]},
+         "detectors[0].channel", "motor_temp_c"),
+        (3, ("shm_rules", "detectors", 0, "when"), {"at_nowhere": True},
+         "detectors[0].when.at_nowhere", "at_nowhere"),
+        (4, ("shm_rules", "diagnosis", 0, "channel"), "coolant_c",
+         "diagnosis[0].channel", "coolant_c"),
+        (4, ("shm_rules", "diagnosis", 0, "parameters", "channel"), "coolant_c",
+         "diagnosis[0].parameters.channel", "coolant_c"),
+        (4, ("shm_rules", "diagnosis", 0, "parameters", "channel"), ["x"],
+         "diagnosis[0].parameters.channel", ["x"]),
+    ], ids=["detector", "guard", "diagnosis", "parameters", "not_a_name"])
+    @pytest.mark.parametrize("command", [
+        ["solve"],
+        ["run", "--strategy", "hadm"],
+        ["run", "--strategy", "shm-baseline"],
+        ["compare", "--rollouts", "1"],
+    ])
+    def test_unknown_shm_channel_is_config_error(
+        self, capsys, tmp_path, n, path, value, field, channel, command
+    ):
+        scenario = builtin_with(tmp_path, n, path, value)
+        assert run_cli([*command, "--scenario", scenario]) == 2
+        assert capsys.readouterr().err == (
+            f"error: $.shm_rules.{field}: unknown channel {channel!r}\n"
+        )
+
     def test_state_cap_is_resource_error(self, capsys):
         assert run_cli(
             ["run", "--scenario", "builtin:4", "--max-states", "10"]
         ) == 3
+
+    def test_ground_truth_cap_is_resource_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """22 two-class regions compile to 89 states but 2**22 ground
+        truths: ``compare`` stops before its first episode."""
+        import hadm.strategies
+
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(star(22)), encoding="utf-8")
+        assert run_cli(["solve", "--scenario", str(path)]) == 0
+        assert "states: 89\n" in capsys.readouterr().out
+        assert run_cli(["run", "--scenario", str(path)]) == 0
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(hadm.strategies, "run_loop", no_episode)
+        start = time.perf_counter()
+        assert run_cli(["compare", "--scenario", str(path), "--rollouts", "1",
+                        "--strategies", "fixed-plan"]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.endswith(
+            "error: 4194304 ground-truth assignments to enumerate exceed "
+            "the cap of 1000000\n"
+        )
 
     def test_inapplicable_strategy_is_config_error(self, capsys):
         assert run_cli(
