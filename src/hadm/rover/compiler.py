@@ -98,7 +98,9 @@ def _channels(spec: ScenarioSpec, st: RoverState, s: int) -> dict:
     and whether it is at a charge point.  The keys depend only on the spec."""
     built = dict(st.components(spec))
     built["state_index"] = s
-    built["at_charge_point"] = st.status == OK and spec.waypoint(st.position).charge_point
+    built["at_charge_point"] = (
+        st.status == OK and spec.waypoint(st.position).charge_point
+    )
     return built
 
 

@@ -78,9 +78,10 @@ class PhmCommitProvider:
 
     Interior decisions a route leaves open ("uniform") are drawn from a
     seeded generator.  The choice depends only on the compiled scenario:
-    the first decision of the first provider on it makes the choice and
-    stores it there (``compiled.route_choice``); every later provider
-    commits to the stored route.
+    the first decision of the first provider on it (or ``episode_total``,
+    which needs it first) makes the choice and stores it there
+    (``compiled.route_choice``); every later provider commits to the
+    stored route.
     """
 
     def __init__(self, compiled: CompiledScenario, seed: int = 0):
