@@ -145,8 +145,11 @@ def cmd_compare(args) -> int:
         if truths is None:
             # Resolved after the first strategy's checks, which report first.
             pinned = resolve_overrides(compiled, overrides)
-            truths = [sample_assignments(compiled, args.seed + i, pinned)
-                      for i in range(args.rollouts)]
+            distinct = {}  # equal ground truths share one mapping
+            truths = []
+            for i in range(args.rollouts):
+                truth = sample_assignments(compiled, args.seed + i, pinned)
+                truths.append(distinct.setdefault(tuple(truth.values()), truth))
         totals = [episode_total(compiled, name, args.seed + i, truth)
                   for i, truth in enumerate(truths)]
         mean = sum(totals) / len(totals)
