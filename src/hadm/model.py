@@ -25,6 +25,9 @@ from .errors import (
 PROB_TOL = 1e-9
 # Most values ``value_iterate(..., return_stages=True)`` may keep.
 MAX_STAGE_ENTRIES = 2 * 10**6
+# Most scenarios (leaves of the behavior tree) ``open_loop_expectation``
+# may enumerate.
+MAX_OPEN_LOOP_LEAVES = 10**5
 
 # A belief maps each state index in its support to its probability;
 # states it leaves out have probability 0.
@@ -517,7 +520,9 @@ def open_loop_expectation(problem: Problem, s0: int, behavior, horizon: int = No
 
     ``behavior`` is a plan (sequence of action indices), a policy mapping
     (missing states fall back to uniform-random), or "uniform".  Returns
-    (expectation, [(probability, total reward), ...]).
+    (expectation, [(probability, total reward), ...]).  A walk that
+    reaches more than ``MAX_OPEN_LOOP_LEAVES`` scenarios raises
+    ``ResourceLimitError`` as it reaches the first one past the cap.
     """
     if horizon is None:
         horizon = problem.horizon
@@ -527,11 +532,14 @@ def open_loop_expectation(problem: Problem, s0: int, behavior, horizon: int = No
     leaves = []
 
     def walk(s, depth, prob, total, disc, plan_pos):
-        if problem.is_terminal(s) or depth > horizon:
-            leaves.append((prob, total))
-            return
-        dist, plan_pos = _behavior_next(problem, behavior, s, plan_pos)
-        if dist is None:  # plan exhausted
+        dist = None
+        if not problem.is_terminal(s) and depth <= horizon:
+            dist, plan_pos = _behavior_next(problem, behavior, s, plan_pos)
+        if dist is None:  # a terminal, the horizon or the plan's end
+            if len(leaves) == MAX_OPEN_LOOP_LEAVES:
+                raise ResourceLimitError(
+                    f"open-loop enumeration exceeded {MAX_OPEN_LOOP_LEAVES} scenarios"
+                )
             leaves.append((prob, total))
             return
         for a, pa in dist:

@@ -24,6 +24,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from ..errors import InvalidConfigError, ResourceLimitError
 from ..model import Problem, ValueTable
+from ..shm import ORDERING
 from .spec import ScenarioSpec
 
 _TOL = 1e-9
@@ -95,7 +96,8 @@ class _Branch(NamedTuple):
 
 def _channels(spec: ScenarioSpec, st: RoverState, s: int) -> dict:
     """The observation channels of state ``s``: its components, its index
-    and whether it is at a charge point.  The keys depend only on the spec."""
+    and whether it is at a charge point.  The keys, and which values are
+    numbers, depend only on the spec."""
     built = dict(st.components(spec))
     built["state_index"] = s
     built["at_charge_point"] = (
@@ -437,22 +439,27 @@ def _check_action_labels(spec: ScenarioSpec, action_index: Mapping):
 
 def _check_channels(spec: ScenarioSpec, channels: Mapping):
     """Detector channels and guard keys, and diagnosis channels and
-    ``parameters.channel`` values, must be keys of ``channels``; the
-    error names the field."""
+    ``parameters.channel`` values, must be keys of ``channels``; an
+    ordering detector and a ``parameters.channel`` need a channel whose
+    value is a number.  The error names the field."""
     rules = spec.shm_rules
     named = []
     for i, pred in enumerate(rules.detector.predicates):
-        named.append((f"detectors[{i}].channel", pred.channel))
-        named += [(f"detectors[{i}].when.{key}", key) for key in pred.when or {}]
+        named.append((f"detectors[{i}].channel", pred.channel, pred.op in ORDERING))
+        named += [(f"detectors[{i}].when.{key}", key, False) for key in pred.when or {}]
     for i, rule in enumerate(rules.diagnosis):
-        named.append((f"diagnosis[{i}].channel", rule.channel))
+        named.append((f"diagnosis[{i}].channel", rule.channel, False))
         if "channel" in rule.parameters:
             named.append((f"diagnosis[{i}].parameters.channel",
-                          rule.parameters["channel"]))
-    for name, channel in named:
+                          rule.parameters["channel"], True))
+    for name, channel, numeric in named:
         if not isinstance(channel, str) or channel not in channels:
             raise InvalidConfigError(
                 f"$.shm_rules.{name}: unknown channel {channel!r}"
+            )
+        if numeric and not isinstance(channels[channel], (int, float)):
+            raise InvalidConfigError(
+                f"$.shm_rules.{name}: channel {channel!r} is not numeric"
             )
 
 

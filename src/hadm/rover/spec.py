@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-
-import jsonschema
 
 from ..errors import InvalidConfigError
 from ..shm import (
@@ -398,17 +397,103 @@ class ScenarioSpec:
         raise InvalidConfigError(f"unknown activity {act_id!r}")
 
 
+# JSON Schema (Draft 2020-12) types: a bool is no number, and an
+# integral float such as 20.0 is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()
+    ),
+}
+
+
+def _type(value, types, schema, path):
+    types = [types] if isinstance(types, str) else types
+    if not any(_TYPES[t](value) for t in types):
+        yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+
+
+def _enum(value, enum, schema, path):
+    # The schema's enums list only strings, so ``in`` is JSON Schema's equality.
+    if value not in enum:
+        yield path, f"{value!r} is not one of {enum!r}"
+
+
+def _required(value, required, schema, path):
+    if isinstance(value, dict):
+        for name in required:
+            if name not in value:
+                yield path, f"{name!r} is a required property"
+
+
+def _properties(value, properties, schema, path):
+    if isinstance(value, dict):
+        for name, sub in properties.items():
+            if name in value:
+                yield from _schema_errors(value[name], sub, (*path, name))
+
+
+def _additional(value, additional, schema, path):
+    if not isinstance(value, dict):
+        return
+    extras = [name for name in value if name not in schema.get("properties", {})]
+    if isinstance(additional, dict):
+        for name in extras:
+            yield from _schema_errors(value[name], additional, (*path, name))
+    elif extras and not additional:
+        names = ", ".join(map(repr, sorted(extras, key=str)))
+        verb = "was" if len(extras) == 1 else "were"
+        yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+
+
+def _items(value, items, schema, path):
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _schema_errors(item, items, (*path, i))
+
+
+def _min_properties(value, least, schema, path):
+    if isinstance(value, dict) and len(value) < least:
+        yield path, f"{value!r} " + (
+            "should be non-empty" if least == 1 else "does not have enough properties"
+        )
+
+
+# The keywords ``SCENARIO_SCHEMA`` uses; ``$schema`` only names the draft.
+SCHEMA_KEYWORDS = {
+    "$schema": lambda value, uri, schema, path: (),
+    "type": _type,
+    "enum": _enum,
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _additional,
+    "items": _items,
+    "minProperties": _min_properties,
+}
+
+
+def _schema_errors(value, schema, path=()):
+    """(path, message) for each way ``value`` breaks ``schema``, keyword by
+    keyword in the schema's key order, with jsonschema's message texts."""
+    for keyword, arg in schema.items():
+        yield from SCHEMA_KEYWORDS[keyword](value, arg, schema, path)
+
+
 def validate_scenario_dict(doc: dict):
     """Schema-validate a scenario document, reporting the failing path."""
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    errors = sorted(_schema_errors(doc, SCENARIO_SCHEMA), key=lambda e: e[0])
     if errors:
         lines = []
-        for err in errors:
+        for path, message in errors:
             path = "$" + "".join(
-                f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
+                f"[{p}]" if isinstance(p, int) else f".{p}" for p in path
             )
-            lines.append(f"{path}: {err.message}")
+            lines.append(f"{path}: {message}")
         raise InvalidConfigError("invalid scenario file:\n" + "\n".join(lines))
 
 

@@ -23,6 +23,9 @@ _OPS = {
     "==": operator.eq,
     "!=": operator.ne,
 }
+# The comparators that order a channel's value against the limit, so the
+# channel must hold a number.
+ORDERING = frozenset({">", ">=", "<", "<="})
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,44 @@ class TestExitCodes:
             f"error: $.shm_rules.{field}: unknown channel {channel!r}\n"
         )
 
+    @pytest.mark.parametrize("n, path, value, field, channel", [
+        (4, ("shm_rules", "detectors", 0, "channel"), "waypoint",
+         "detectors[0].channel", "waypoint"),
+        (4, ("shm_rules", "detectors", 0),
+         {"channel": "status", "op": "<=", "limit": 1},
+         "detectors[0].channel", "status"),
+        (3, ("shm_rules", "detectors", 0),
+         {"channel": "science:sci1", "op": ">=", "limit": 0},
+         "detectors[0].channel", "science:sci1"),
+        (2, ("shm_rules",),
+         {"detectors": [{"channel": "terrain:left", "op": "<", "limit": 0}]},
+         "detectors[0].channel", "terrain:left"),
+        (4, ("shm_rules", "diagnosis", 0, "parameters", "channel"), "waypoint",
+         "diagnosis[0].parameters.channel", "waypoint"),
+    ], ids=["waypoint", "status", "science", "terrain", "parameters"])
+    @pytest.mark.parametrize("command", [
+        ["solve"],
+        ["run", "--strategy", "shm-baseline"],
+        ["compare", "--rollouts", "1"],
+    ])
+    def test_ordering_on_a_non_numeric_channel_is_config_error(
+        self, capsys, tmp_path, n, path, value, field, channel, command
+    ):
+        """An ordering detector or a prognosis ``parameters.channel`` on a
+        string or None channel used to fail in the pipeline (exit 1)."""
+        scenario = builtin_with(tmp_path, n, path, value)
+        assert run_cli([*command, "--scenario", scenario]) == 2
+        assert capsys.readouterr().err == (
+            f"error: $.shm_rules.{field}: channel {channel!r} is not numeric\n"
+        )
+
+    @pytest.mark.parametrize("op", ["==", "!="])
+    def test_equality_on_a_non_numeric_channel_runs(self, capsys, tmp_path, op):
+        scenario = builtin_with(tmp_path, 4, ("shm_rules", "detectors", 0),
+                                {"channel": "waypoint", "op": op, "limit": 1})
+        assert run_cli(["run", "--scenario", scenario,
+                        "--strategy", "shm-baseline"]) == 0
+
     def test_state_cap_is_resource_error(self, capsys):
         assert run_cli(
             ["run", "--scenario", "builtin:4", "--max-states", "10"]
@@ -250,6 +288,33 @@ class TestExitCodes:
         assert capsys.readouterr().err.endswith(
             "error: 4194304 ground-truth assignments to enumerate exceed "
             "the cap of 1000000\n"
+        )
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--strategy", "phm-commit"],
+        ["compare", "--strategies", "phm-commit", "--rollouts", "1"],
+    ])
+    def test_open_loop_leaf_cap_is_resource_error(self, capsys, tmp_path, command):
+        """A route that moves uniformly over 40 two-way forks has 2**40
+        paths: the ``phm-commit`` route walk stops at the cap."""
+        k = 40
+        doc = {
+            "name": "forks",
+            "kind": "rover",
+            "waypoints": [{"id": f"w{i}"} for i in range(k + 1)],
+            "segments": [{"id": f"{x}{i}", "from": f"w{i - 1}", "to": f"w{i}",
+                          "terrain": "easy"}
+                         for i in range(1, k + 1) for x in "XY"],
+            "mission": {"start": "w0", "goal": f"w{k}"},
+            "routes": [{"id": "any", "moves": dict.fromkeys(
+                [f"w{i}" for i in range(k)], "uniform")}],
+        }
+        path = tmp_path / "forks.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", "--scenario", str(path)]) == 0
+        assert run_cli([*command, "--scenario", str(path)]) == 3
+        assert capsys.readouterr().err.endswith(
+            "error: open-loop enumeration exceeded 100000 scenarios\n"
         )
 
     def test_inapplicable_strategy_is_config_error(self, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hadm.model
 from hadm.cli import main as cli_main
 
 from hadm.errors import (
@@ -20,6 +21,7 @@ from hadm.errors import (
     ResourceLimitError,
 )
 from hadm.model import (
+    MAX_OPEN_LOOP_LEAVES,
     MAX_STAGE_ENTRIES,
     Policy,
     Problem,
@@ -816,6 +818,45 @@ class TestOpenLoopAgainstTreeOracle:
         problem, s0, behavior, horizon = case
         assert (open_loop_expectation(problem, s0, behavior, horizon)
                 == tree_open_loop(problem, s0, behavior, horizon))
+
+
+def forks(k):
+    """States 0..k; from each state below k two actions lead to the next,
+    so state 0 has 2**k uniform paths to the terminal state k."""
+    return Problem(
+        state_labels=tuple(f"s{i}" for i in range(k + 1)),
+        action_labels=("x", "y"),
+        admissible=((0, 1),) * k + ((0,),),
+        transitions={(s, a): ((min(s + 1, k), 1.0),) for s in range(k + 1) for a in (0, 1)},
+        rewards={(s, a): -float(a) for s in range(k + 1) for a in (0, 1)},
+        terminal=frozenset({k}),
+        gamma=1.0,
+        horizon=k,
+    )
+
+
+class TestOpenLoopLeafCap:
+    def test_cap_is_reached_and_passed(self, monkeypatch):
+        monkeypatch.setattr(hadm.model, "MAX_OPEN_LOOP_LEAVES", 2**10)
+        value, _ = open_loop_expectation(forks(10), 0, "uniform")
+        assert value == -5.0
+        with pytest.raises(ResourceLimitError, match="exceeded 1024 scenarios"):
+            open_loop_expectation(forks(11), 0, "uniform")
+
+    def test_long_uniform_walk_stops_at_the_cap(self):
+        """2**60 paths: the walk stops after the cap, not at its end."""
+        with pytest.raises(ResourceLimitError,
+                           match=f"exceeded {MAX_OPEN_LOOP_LEAVES} scenarios"):
+            open_loop_expectation(forks(60), 0, "uniform")
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_builtin_routes_are_unchanged(self, n):
+        compiled = compile_scenario(load_scenario(builtin_scenario_dict(n)))
+        walks = [(compiled.initial_state, "uniform")]
+        walks += [compiled.route_policy(r.id) for r in compiled.spec.routes]
+        for s0, behavior in walks:
+            assert (open_loop_expectation(compiled.problem, s0, behavior)
+                    == tree_open_loop(compiled.problem, s0, behavior))
 
 
 # Values that stress the bit-for-bit agreement of the two solver paths:
