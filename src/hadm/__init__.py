@@ -66,7 +66,6 @@ from .prognostics import (
 from .shm import (
     DiagnosisRule,
     FaultDescriptor,
-    FaultDetector,
     MitigationRule,
     SensorObservation,
     ThresholdPredicate,

@@ -444,7 +444,7 @@ def _check_channels(spec: ScenarioSpec, channels: Mapping):
     value is a number.  The error names the field."""
     rules = spec.shm_rules
     named = []
-    for i, pred in enumerate(rules.detector.predicates):
+    for i, pred in enumerate(rules.detectors):
         named.append((f"detectors[{i}].channel", pred.channel, pred.op in ORDERING))
         named += [(f"detectors[{i}].when.{key}", key, False) for key in pred.when or {}]
     for i, rule in enumerate(rules.diagnosis):

@@ -5,249 +5,23 @@ describing a waypoint graph with terrain regions, activities, power and
 battery budgets, thermal limits, deadlines, reward shaping, routes for
 the commit-once comparison strategy, nominal/abort plans, and the
 baseline health-management rule tables.
-"""
-from __future__ import annotations
 
+The records below define the document: ``SCENARIO_SCHEMA`` is derived
+from their annotations and ``load_scenario`` builds them from it.
+"""
+import dataclasses
+import functools
 import json
 import math
 import numbers
+from collections import abc
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Literal, Mapping, Optional, Union, get_args, get_origin
 
 from ..errors import InvalidConfigError
-from ..shm import (
-    DiagnosisRule,
-    FaultDetector,
-    MitigationRule,
-    ShmRules,
-    ThresholdPredicate,
-)
+from ..shm import ShmRules
 
 PROB_TOL = 1e-9
-
-_number = {"type": "number"}
-_string = {"type": "string"}
-
-SCENARIO_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["name", "kind"],
-    "additionalProperties": False,
-    "properties": {
-        "name": _string,
-        "kind": {"enum": ["rover", "prognostics"]},
-        "comments": {"type": "array", "items": _string},
-        "waypoints": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": _string,
-                    "name": _string,
-                    "charge_point": {"type": "boolean"},
-                },
-            },
-        },
-        "regions": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "classes"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": _string,
-                    "classes": {
-                        "type": "object",
-                        "additionalProperties": _number,
-                        "minProperties": 1,
-                    },
-                },
-            },
-        },
-        "segments": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "from", "to"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": _string,
-                    "from": _string,
-                    "to": _string,
-                    "duration_h": _number,
-                    "region": _string,
-                    "terrain": _string,
-                    "energy_wh": {"type": "object", "additionalProperties": _number},
-                    "grade": {"enum": ["flat", "uphill", "downhill"]},
-                    "heats_motor": {"type": "boolean"},
-                },
-            },
-        },
-        "activities": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "waypoint", "duration_h"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": _string,
-                    "waypoint": _string,
-                    "duration_h": _number,
-                    "load_w": _number,
-                    "redo_prob": _number,
-                },
-            },
-        },
-        "power": {
-            "type": ["object", "null"],
-            "additionalProperties": False,
-            "properties": {
-                "solar_w": _number,
-                "heater_w": _number,
-                "drive_w": _number,
-                "sunlight_until_h": _number,
-            },
-        },
-        "battery": {
-            "type": ["object", "null"],
-            "required": ["capacity_wh", "initial_wh"],
-            "additionalProperties": False,
-            "properties": {
-                "capacity_wh": _number,
-                "initial_wh": _number,
-                "charge_rate_w": _number,
-            },
-        },
-        "thermal": {
-            "type": ["object", "null"],
-            "additionalProperties": False,
-            "properties": {
-                "nominal_c": _number,
-                "heat_rate_c_per_h": _number,
-                "cool_rate_c_per_h": _number,
-                "limit_c": _number,
-            },
-        },
-        "mission": {
-            "type": "object",
-            "required": ["start", "goal"],
-            "additionalProperties": False,
-            "properties": {
-                "start": _string,
-                "goal": _string,
-                "require_activities": {"type": "array", "items": _string},
-                "deadline_h": {"type": ["number", "null"]},
-            },
-        },
-        "reward": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "step_energy": {"type": "boolean"},
-                "terminal_battery": {"type": "boolean"},
-                "time_margin_bonus": {"type": "boolean"},
-                "complete_bonus": _number,
-                "stranded_penalty": _number,
-                "motor_failure_penalty": _number,
-                "deadline_missed_penalty": _number,
-            },
-        },
-        "actions": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "allow_charge": {"type": "boolean"},
-                "cool_grid_h": {"type": ["number", "null"]},
-            },
-        },
-        "routes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "moves"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": _string,
-                    "moves": {"type": "object", "additionalProperties": _string},
-                },
-            },
-        },
-        "nominal_plan": {"type": "array", "items": _string},
-        "abort_plan": {"type": "object", "additionalProperties": _string},
-        "shm_rules": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "detectors": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["channel", "op", "limit"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "channel": _string,
-                            "op": {"enum": [">", ">=", "<", "<=", "==", "!="]},
-                            "limit": _number,
-                            "when": {"type": "object"},
-                        },
-                    },
-                },
-                "diagnosis": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["channel", "component", "mode"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "channel": _string,
-                            "component": _string,
-                            "mode": _string,
-                            "parameters": {"type": "object"},
-                            "probability": _number,
-                        },
-                    },
-                },
-                "mitigations": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["fault_mode", "action"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "fault_mode": _string,
-                            "action": _string,
-                            "constraints": {"type": "object"},
-                            "priority": {"type": "integer"},
-                        },
-                    },
-                },
-                "min_probability": _number,
-            },
-        },
-        "degradation": {
-            "type": ["object", "null"],
-            "additionalProperties": False,
-            "properties": {
-                "s0": _number,
-                "rate_nominal": _number,
-                "p_high": _number,
-                "epsilon": _number,
-                "horizon": {"type": "integer"},
-                "sigma_max": _number,
-                "h_min": _number,
-            },
-        },
-        "override_aliases": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "additionalProperties": {"type": "object"},
-            },
-        },
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -260,19 +34,20 @@ class Waypoint:
 @dataclass(frozen=True)
 class Region:
     id: str
-    classes: Mapping  # terrain class -> probability
+    # terrain class -> probability
+    classes: Mapping[str, float] = field(metadata={"minProperties": 1})
 
 
 @dataclass(frozen=True)
 class Segment:
     id: str
-    frm: str
+    frm: str = field(metadata={"json": "from"})
     to: str
     duration_h: float = 1.0
     region: str = None
     terrain: str = None
-    energy_wh: Mapping = None  # terrain class -> Wh
-    grade: str = "flat"
+    energy_wh: Mapping[str, float] = None  # terrain class -> Wh
+    grade: Literal["flat", "uphill", "downhill"] = "flat"
     heats_motor: bool = False
 
 
@@ -312,8 +87,8 @@ class ThermalConfig:
 class Mission:
     start: str
     goal: str
-    require_activities: Sequence = ()
-    deadline_h: float = None
+    require_activities: tuple[str, ...] = ()
+    deadline_h: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -330,13 +105,13 @@ class RewardConfig:
 @dataclass(frozen=True)
 class ActionConfig:
     allow_charge: bool = False
-    cool_grid_h: float = None
+    cool_grid_h: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class Route:
     id: str
-    moves: Mapping  # waypoint -> action label, or "uniform"
+    moves: Mapping[str, str]  # waypoint -> action label, or "uniform"
 
 
 @dataclass(frozen=True)
@@ -353,24 +128,27 @@ class DegradationSection:
 @dataclass(frozen=True)
 class ScenarioSpec:
     name: str
-    kind: str
-    waypoints: tuple = ()
-    regions: tuple = ()
-    segments: tuple = ()
-    activities: tuple = ()
-    power: PowerConfig = None
-    battery: BatteryConfig = None
-    thermal: ThermalConfig = None
+    kind: Literal["rover", "prognostics"]
+    comments: tuple[str, ...] = ()
+    waypoints: tuple[Waypoint, ...] = ()
+    regions: tuple[Region, ...] = ()
+    segments: tuple[Segment, ...] = ()
+    activities: tuple[Activity, ...] = ()
+    power: Optional[PowerConfig] = None
+    battery: Optional[BatteryConfig] = None
+    thermal: Optional[ThermalConfig] = None
     mission: Mission = None
     reward: RewardConfig = RewardConfig()
     actions: ActionConfig = ActionConfig()
-    routes: tuple = ()
-    nominal_plan: tuple = ()
-    abort_plan: Mapping = field(default_factory=dict)
+    routes: tuple[Route, ...] = ()
+    nominal_plan: tuple[str, ...] = ()
+    abort_plan: Mapping[str, str] = field(default_factory=dict)
     shm_rules: ShmRules = ShmRules()
-    degradation: DegradationSection = None
-    override_aliases: Mapping = field(default_factory=dict)
-    comments: tuple = ()
+    degradation: Optional[DegradationSection] = None
+    # alias -> variant -> {random variable: value}
+    override_aliases: Mapping[str, Mapping[str, Mapping]] = field(
+        default_factory=dict
+    )
 
     def waypoint(self, wp_id):
         for wp in self.waypoints:
@@ -395,6 +173,60 @@ class ScenarioSpec:
             if a.id == act_id:
                 return a
         raise InvalidConfigError(f"unknown activity {act_id!r}")
+
+
+_JSON_TYPES = {str: "string", float: "number", int: "integer", bool: "boolean"}
+
+
+def _json_name(f: dataclasses.Field) -> str:
+    return f.metadata.get("json", f.name)
+
+
+def _schema(tp) -> dict:
+    """The JSON Schema of annotation ``tp``.  A record is a closed object
+    whose fields without a default are required; a field's metadata may
+    rename it (``json``) or add keywords.  ``Optional`` adds ``null``,
+    ``Literal`` is an enum, ``tuple[X, ...]`` an array of ``X`` and
+    ``Mapping[str, X]`` an object of ``X`` values (a bare ``Mapping``,
+    any object)."""
+    if dataclasses.is_dataclass(tp):
+        fields = dataclasses.fields(tp)
+        out = {"type": "object"}
+        required = [
+            _json_name(f) for f in fields
+            if f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+        ]
+        if required:
+            out["required"] = required
+        out["additionalProperties"] = False
+        out["properties"] = {
+            _json_name(f): {
+                **_schema(f.type),
+                **{k: v for k, v in f.metadata.items() if k != "json"},
+            }
+            for f in fields
+        }
+        return out
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:
+        inner = _schema(args[0])
+        return {**inner, "type": [inner["type"], "null"]}
+    if origin is Literal:
+        return {"enum": list(args)}
+    if origin is tuple:
+        return {"type": "array", "items": _schema(args[0])}
+    if origin is abc.Mapping:
+        if args:
+            return {"type": "object", "additionalProperties": _schema(args[1])}
+        return {"type": "object"}
+    return {"type": _JSON_TYPES[tp]}
+
+
+SCENARIO_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    **_schema(ScenarioSpec),
+}
 
 
 # JSON Schema (Draft 2020-12) types: a bool is no number, and an
@@ -500,54 +332,53 @@ def validate_scenario_dict(doc: dict):
 def load_scenario(doc: dict) -> ScenarioSpec:
     """Build a validated ScenarioSpec from a scenario document.
 
-    Records are built from their entries by keyword (``from`` becomes
-    ``frm``), so field defaults live only on the dataclasses.
+    Records are built from their entries by field, so field defaults
+    live only on the dataclasses.
     """
     validate_scenario_dict(doc)
     _check_finite(doc)
-    regions = tuple(Region(**r) for r in doc.get("regions", ()))
-    for r in regions:
+    spec = _reader(ScenarioSpec)(doc)
+    for r in spec.regions:
         total = sum(r.classes.values())
         if abs(total - 1.0) > PROB_TOL:
             raise InvalidConfigError(
                 f"region {r.id!r} terrain probabilities sum to {total}"
             )
-    battery = None
-    if doc.get("battery"):
-        battery = BatteryConfig(**doc["battery"])
+    battery = spec.battery
+    if battery is not None:
         if battery.capacity_wh <= 0 or battery.initial_wh < 0:
             raise InvalidConfigError("battery capacity/initial must be positive")
         if battery.initial_wh > battery.capacity_wh:
             raise InvalidConfigError("initial charge exceeds capacity")
-    spec = ScenarioSpec(
-        name=doc["name"],
-        kind=doc["kind"],
-        waypoints=tuple(Waypoint(**w) for w in doc.get("waypoints", ())),
-        regions=regions,
-        segments=tuple(
-            Segment(**{"frm" if k == "from" else k: v for k, v in s.items()})
-            for s in doc.get("segments", ())
-        ),
-        activities=tuple(Activity(**a) for a in doc.get("activities", ())),
-        power=PowerConfig(**doc["power"]) if doc.get("power") else None,
-        battery=battery,
-        thermal=ThermalConfig(**doc["thermal"]) if doc.get("thermal") else None,
-        mission=Mission(**doc["mission"]) if doc.get("mission") else None,
-        reward=RewardConfig(**doc.get("reward", {})),
-        actions=ActionConfig(**doc.get("actions", {})),
-        routes=tuple(Route(**r) for r in doc.get("routes", ())),
-        nominal_plan=tuple(doc.get("nominal_plan", ())),
-        abort_plan=dict(doc.get("abort_plan", {})),
-        shm_rules=_shm_rules(doc.get("shm_rules", {})),
-        degradation=DegradationSection(**_integral(doc["degradation"], "horizon"))
-        if doc.get("degradation")
-        else None,
-        override_aliases=doc.get("override_aliases", {}),
-        comments=tuple(doc.get("comments", ())),
-    )
     _cross_check(spec)
     _check_non_negative(spec)
     return spec
+
+
+@functools.cache
+def _reader(tp):
+    """The function that builds a value of annotation ``tp`` from its
+    schema-valid JSON value.  A key a record's entry leaves out takes the
+    field's default, an ``int`` field reads an integral float such as
+    20.0 as its integer, and a nullable section that is null or empty is
+    None."""
+    if dataclasses.is_dataclass(tp):
+        fields = [(f.name, _json_name(f), _reader(f.type))
+                  for f in dataclasses.fields(tp)]
+        return lambda entry: tp(**{
+            name: read(entry[key]) for name, key, read in fields if key in entry
+        })
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:
+        read = _reader(args[0])
+        return lambda value: None if value is None or value == {} else read(value)
+    if origin is tuple:
+        read = _reader(args[0])
+        return lambda value: tuple(map(read, value))
+    if origin is abc.Mapping and args:
+        read = _reader(args[1])
+        return lambda value: {k: read(v) for k, v in value.items()}
+    return int if tp is int else (lambda value: value)
 
 
 def _check_finite(doc: Mapping):
@@ -561,30 +392,6 @@ def _check_finite(doc: Mapping):
             stack += [(f"{path}.{k}", v) for k, v in value.items()]
         elif isinstance(value, list):
             stack += [(f"{path}[{i}]", v) for i, v in enumerate(value)]
-
-
-def _integral(entry: Mapping, key: str) -> Mapping:
-    """``entry`` with its ``key`` value as an ``int``.  The schema's
-    ``integer`` type also admits integral floats such as 20.0 and 1e3."""
-    if isinstance(entry.get(key), float):
-        return {**entry, key: int(entry[key])}
-    return entry
-
-
-def _shm_rules(rules: Mapping) -> ShmRules:
-    """The document's ``shm_rules`` as typed records; ``min_probability``
-    is passed only when given, so its default stays on ``ShmRules``."""
-    return ShmRules(
-        detector=FaultDetector(
-            tuple(ThresholdPredicate(**d) for d in rules.get("detectors", ()))
-        ),
-        diagnosis=tuple(DiagnosisRule(**d) for d in rules.get("diagnosis", ())),
-        mitigations=tuple(
-            MitigationRule(**_integral(m, "priority"))
-            for m in rules.get("mitigations", ())
-        ),
-        **{k: v for k, v in rules.items() if k == "min_probability"},
-    )
 
 
 def _cross_check(spec: ScenarioSpec):

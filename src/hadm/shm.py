@@ -6,11 +6,9 @@ commit-once route choice used by the decision-support comparison
 strategy.  The pipeline is deliberately myopic: once a route or a
 mitigation is committed to, it is not revisited.
 """
-from __future__ import annotations
-
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 from .errors import EscalationRequired, InvalidConfigError
 from .model import Problem, open_loop_expectation
@@ -47,7 +45,7 @@ class ThresholdPredicate:
     to observations whose guard channels match exactly."""
 
     channel: str
-    op: str
+    op: Literal[tuple(_OPS)]
     limit: float
     when: Mapping = None
 
@@ -68,17 +66,10 @@ class ThresholdPredicate:
         return _OPS[self.op](value, self.limit)
 
 
-@dataclass(frozen=True)
-class FaultDetector:
-    predicates: tuple = ()
-
-    def fired(self, obs: SensorObservation):
-        return tuple(p for p in self.predicates if p.fires(obs))
-
-
-def detect(detector: FaultDetector, obs: SensorObservation) -> bool:
-    """True iff any red-line predicate fires."""
-    return bool(detector.fired(obs))
+def detect(predicates: Sequence, obs: SensorObservation) -> tuple:
+    """The red-line predicates that fire on ``obs``, in order.  Every one
+    is evaluated, so a bad channel fails even after another has fired."""
+    return tuple(p for p in predicates if p.fires(obs))
 
 
 @dataclass(frozen=True)
@@ -188,9 +179,9 @@ def select_recovery(
 class ShmRules:
     """A scenario's rule tables for the separated pipeline, typed at load."""
 
-    detector: FaultDetector = FaultDetector()
-    diagnosis: tuple = ()  # DiagnosisRule, ...
-    mitigations: tuple = ()  # MitigationRule, ...
+    detectors: tuple[ThresholdPredicate, ...] = ()
+    diagnosis: tuple[DiagnosisRule, ...] = ()
+    mitigations: tuple[MitigationRule, ...] = ()
     min_probability: float = 0.0
 
 

@@ -23,7 +23,13 @@ from .loop import OnlineExpectimaxProvider, most_likely_state, run_loop
 from .rover.compiler import CompiledScenario
 from .rover.plant import Plant, resolve_overrides
 from .rover.spec import Activity, Segment
-from .shm import diagnose, phm_route_choice, prognose_fault, select_recovery
+from .shm import (
+    detect,
+    diagnose,
+    phm_route_choice,
+    prognose_fault,
+    select_recovery,
+)
 
 
 # Cap on the ground-truth assignments ``analytic_expectation`` enumerates;
@@ -146,7 +152,7 @@ class ShmBaselineProvider:
 
     def _run_pipeline(self, problem, s, observation, step):
         rules = self.rules
-        fired = rules.detector.fired(observation)
+        fired = detect(rules.detectors, observation)
         if not fired:
             return None
         descriptors = diagnose(rules.diagnosis, observation, fired)

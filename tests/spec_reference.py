@@ -8,7 +8,10 @@ changed, to absolute ones, and the two names: the literal is
 ``FROZEN_SCHEMA`` and the loader ``reference_load``.  The loader calls
 the package's own checks (``validate_scenario_dict``, ``_check_finite``,
 ``_cross_check``, ``_check_non_negative``); what it pins is how the
-records are built.  Do not edit the code below: the oracle test holds
+records are built.  Two lines follow later renames of the records:
+``ShmRules.detectors`` holds the predicates that a ``FaultDetector``
+used to wrap, and ``Mission.require_activities`` is a tuple like every
+other array.  Do not edit the code below: the oracle test holds
 the schema and the loader to exactly this behaviour.
 """
 from typing import Mapping
@@ -36,7 +39,6 @@ from hadm.rover.spec import (
 )
 from hadm.shm import (
     DiagnosisRule,
-    FaultDetector,
     MitigationRule,
     ShmRules,
     ThresholdPredicate,
@@ -302,7 +304,10 @@ def reference_load(doc: dict) -> ScenarioSpec:
         power=PowerConfig(**doc["power"]) if doc.get("power") else None,
         battery=battery,
         thermal=ThermalConfig(**doc["thermal"]) if doc.get("thermal") else None,
-        mission=Mission(**doc["mission"]) if doc.get("mission") else None,
+        mission=Mission(**{k: tuple(v) if k == "require_activities" else v
+                           for k, v in doc["mission"].items()})
+        if doc.get("mission")
+        else None,
         reward=RewardConfig(**doc.get("reward", {})),
         actions=ActionConfig(**doc.get("actions", {})),
         routes=tuple(Route(**r) for r in doc.get("routes", ())),
@@ -332,9 +337,7 @@ def _shm_rules(rules: Mapping) -> ShmRules:
     """The document's ``shm_rules`` as typed records; ``min_probability``
     is passed only when given, so its default stays on ``ShmRules``."""
     return ShmRules(
-        detector=FaultDetector(
-            tuple(ThresholdPredicate(**d) for d in rules.get("detectors", ()))
-        ),
+        detectors=tuple(ThresholdPredicate(**d) for d in rules.get("detectors", ())),
         diagnosis=tuple(DiagnosisRule(**d) for d in rules.get("diagnosis", ())),
         mitigations=tuple(
             MitigationRule(**_integral(m, "priority"))

@@ -133,7 +133,7 @@ class ShmBaselineProvider:
 
     def _run_pipeline(self, problem, s, observation, step):
         rules = self.rules
-        fired = rules.detector.fired(observation)
+        fired = tuple(p for p in rules.detectors if p.fires(observation))
         if not fired:
             return None
         descriptors = diagnose(rules.diagnosis, observation, fired)

@@ -8,7 +8,6 @@ from hadm.shm import (
     UNKNOWN_FAULT,
     DiagnosisRule,
     FaultDescriptor,
-    FaultDetector,
     MitigationRule,
     SensorObservation,
     ThresholdPredicate,
@@ -28,20 +27,20 @@ def obs(**channels):
 
 class TestDetection:
     def test_fires_above_limit(self):
-        assert detect(FaultDetector((TEMP_PRED,)), obs(motor_temp_c=60)) is True
+        assert detect((TEMP_PRED,), obs(motor_temp_c=60)) == (TEMP_PRED,)
 
     def test_silent_at_nominal(self):
-        assert detect(FaultDetector((TEMP_PRED,)), obs(motor_temp_c=20)) is False
+        assert detect((TEMP_PRED,), obs(motor_temp_c=20)) == ()
 
     def test_silent_at_exact_limit(self):
-        assert detect(FaultDetector((TEMP_PRED,)), obs(motor_temp_c=40)) is False
+        assert detect((TEMP_PRED,), obs(motor_temp_c=40)) == ()
 
     def test_empty_detector(self):
-        assert detect(FaultDetector(()), obs(motor_temp_c=200)) is False
+        assert detect((), obs(motor_temp_c=200)) == ()
 
     def test_unknown_channel_is_config_error(self):
         with pytest.raises(InvalidConfigError):
-            detect(FaultDetector((TEMP_PRED,)), obs(battery_wh=100))
+            detect((TEMP_PRED,), obs(battery_wh=100))
 
     def test_guarded_predicate(self):
         pred = ThresholdPredicate(
