@@ -441,7 +441,10 @@ def _check_channels(spec: ScenarioSpec, channels: Mapping):
     """Detector channels and guard keys, and diagnosis channels and
     ``parameters.channel`` values, must be keys of ``channels``; an
     ordering detector and a ``parameters.channel`` need a channel whose
-    value is a number.  The error names the field."""
+    value is a number.  A diagnosis ``parameters.rate`` and ``.limit``
+    must be numbers (or null, which prognosis reads as absent) and a
+    mitigation ``constraints.grades`` an array of strings.  The error
+    names the field."""
     rules = spec.shm_rules
     named = []
     for i, pred in enumerate(rules.detectors):
@@ -460,6 +463,23 @@ def _check_channels(spec: ScenarioSpec, channels: Mapping):
         if numeric and not isinstance(channels[channel], (int, float)):
             raise InvalidConfigError(
                 f"$.shm_rules.{name}: channel {channel!r} is not numeric"
+            )
+    for i, rule in enumerate(rules.diagnosis):
+        for key in ("rate", "limit"):
+            value = rule.parameters.get(key)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise InvalidConfigError(
+                    f"$.shm_rules.diagnosis[{i}].parameters.{key}: "
+                    f"{value!r} is not a number"
+                )
+    for i, rule in enumerate(rules.mitigations):
+        grades = rule.constraints.get("grades", [])
+        if not isinstance(grades, list) or not all(isinstance(g, str) for g in grades):
+            raise InvalidConfigError(
+                f"$.shm_rules.mitigations[{i}].constraints.grades: "
+                f"{grades!r} is not an array of strings"
             )
 
 

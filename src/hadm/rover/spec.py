@@ -422,6 +422,12 @@ def _cross_check(spec: ScenarioSpec):
             raise InvalidConfigError(f"activity {act.id!r} references unknown waypoint")
         if not (0.0 <= act.redo_prob <= 1.0):
             raise InvalidConfigError(f"activity {act.id!r} redo probability invalid")
+    for i, rule in enumerate(spec.shm_rules.diagnosis):
+        if not (0.0 <= rule.probability <= 1.0):
+            raise InvalidConfigError(
+                f"$.shm_rules.diagnosis[{i}].probability: "
+                f"{rule.probability!r} is not in [0, 1]"
+            )
     if spec.mission is not None:
         if spec.mission.start not in wp_ids or spec.mission.goal not in wp_ids:
             raise InvalidConfigError("mission start/goal not declared as waypoints")

@@ -259,6 +259,67 @@ class TestExitCodes:
         assert run_cli(["run", "--scenario", scenario,
                         "--strategy", "shm-baseline"]) == 0
 
+    @pytest.mark.parametrize("path, value, field, message", [
+        (("diagnosis", 0, "parameters", "rate"), "x",
+         "diagnosis[0].parameters.rate", "'x' is not a number"),
+        (("diagnosis", 0, "parameters", "limit"), "80",
+         "diagnosis[0].parameters.limit", "'80' is not a number"),
+        (("diagnosis", 0, "parameters", "rate"), True,
+         "diagnosis[0].parameters.rate", "True is not a number"),
+        (("mitigations", 0, "constraints", "grades"), 5,
+         "mitigations[0].constraints.grades", "5 is not an array of strings"),
+        (("mitigations", 0, "constraints", "grades"), "flat",
+         "mitigations[0].constraints.grades", "'flat' is not an array of strings"),
+        (("mitigations", 0, "constraints", "grades"), ["flat", None],
+         "mitigations[0].constraints.grades",
+         "['flat', None] is not an array of strings"),
+    ], ids=["rate", "limit", "bool_rate", "grades_number", "grades_string",
+            "grades_item"])
+    @pytest.mark.parametrize("command", [
+        ["solve"],
+        ["run", "--strategy", "shm-baseline"],
+        ["compare", "--rollouts", "1"],
+    ])
+    def test_bad_shm_parameter_type_is_config_error(
+        self, capsys, tmp_path, path, value, field, message, command
+    ):
+        """A non-numeric prognosis rate or limit used to fail in the
+        pipeline (exit 1); a ``grades`` string was split into letters."""
+        scenario = builtin_with(tmp_path, 4, ("shm_rules", *path), value)
+        assert run_cli([*command, "--scenario", scenario]) == 2
+        assert capsys.readouterr().err == (
+            f"error: $.shm_rules.{field}: {message}\n"
+        )
+
+    def test_null_prognosis_rate_runs_without_prognosis(self, capsys, tmp_path):
+        scenario = builtin_with(
+            tmp_path, 4, ("shm_rules", "diagnosis", 0, "parameters", "rate"), None
+        )
+        assert run_cli(["run", "--scenario", scenario,
+                        "--strategy", "shm-baseline"]) == 0
+
+    @pytest.mark.parametrize("probability", [1.5, -0.25])
+    @pytest.mark.parametrize("command", [
+        ["solve"],
+        ["run", "--strategy", "hadm"],
+        ["run", "--strategy", "shm-baseline"],
+        ["compare", "--rollouts", "1"],
+        ["predict"],
+    ])
+    def test_diagnosis_probability_outside_unit_interval_is_config_error(
+        self, capsys, tmp_path, probability, command
+    ):
+        """Loading rejects it; before, only the baseline's pipeline did,
+        once the detector fired."""
+        scenario = builtin_with(
+            tmp_path, 4, ("shm_rules", "diagnosis", 0, "probability"), probability
+        )
+        assert run_cli([*command, "--scenario", scenario]) == 2
+        assert capsys.readouterr().err == (
+            f"error: $.shm_rules.diagnosis[0].probability: "
+            f"{probability!r} is not in [0, 1]\n"
+        )
+
     def test_state_cap_is_resource_error(self, capsys):
         assert run_cli(
             ["run", "--scenario", "builtin:4", "--max-states", "10"]
