@@ -42,6 +42,14 @@ class TestDetection:
         with pytest.raises(InvalidConfigError):
             detect((TEMP_PRED,), obs(battery_wh=100))
 
+    def test_every_predicate_is_evaluated_in_order(self):
+        low = ThresholdPredicate(channel="battery_wh", op="<", limit=100)
+        readings = obs(motor_temp_c=60, battery_wh=50)
+        assert detect((low, TEMP_PRED), readings) == (low, TEMP_PRED)
+        assert detect((TEMP_PRED, low), readings) == (TEMP_PRED, low)
+        with pytest.raises(InvalidConfigError):
+            detect((TEMP_PRED, ThresholdPredicate("coolant_c", ">", 1)), readings)
+
     def test_guarded_predicate(self):
         pred = ThresholdPredicate(
             channel="battery_wh", op="<", limit=1500,
