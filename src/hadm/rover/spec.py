@@ -177,58 +177,6 @@ class ScenarioSpec:
 
 _JSON_TYPES = {str: "string", float: "number", int: "integer", bool: "boolean"}
 
-
-def _json_name(f: dataclasses.Field) -> str:
-    return f.metadata.get("json", f.name)
-
-
-def _schema(tp) -> dict:
-    """The JSON Schema of annotation ``tp``.  A record is a closed object
-    whose fields without a default are required; a field's metadata may
-    rename it (``json``) or add keywords.  ``Optional`` adds ``null``,
-    ``Literal`` is an enum, ``tuple[X, ...]`` an array of ``X`` and
-    ``Mapping[str, X]`` an object of ``X`` values (a bare ``Mapping``,
-    any object)."""
-    if dataclasses.is_dataclass(tp):
-        fields = dataclasses.fields(tp)
-        out = {"type": "object"}
-        required = [
-            _json_name(f) for f in fields
-            if f.default is dataclasses.MISSING
-            and f.default_factory is dataclasses.MISSING
-        ]
-        if required:
-            out["required"] = required
-        out["additionalProperties"] = False
-        out["properties"] = {
-            _json_name(f): {
-                **_schema(f.type),
-                **{k: v for k, v in f.metadata.items() if k != "json"},
-            }
-            for f in fields
-        }
-        return out
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is Union:
-        inner = _schema(args[0])
-        return {**inner, "type": [inner["type"], "null"]}
-    if origin is Literal:
-        return {"enum": list(args)}
-    if origin is tuple:
-        return {"type": "array", "items": _schema(args[0])}
-    if origin is abc.Mapping:
-        if args:
-            return {"type": "object", "additionalProperties": _schema(args[1])}
-        return {"type": "object"}
-    return {"type": _JSON_TYPES[tp]}
-
-
-SCENARIO_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    **_schema(ScenarioSpec),
-}
-
-
 # JSON Schema (Draft 2020-12) types: a bool is no number, and an
 # integral float such as 20.0 is an integer.
 _TYPES = {
@@ -244,89 +192,135 @@ _TYPES = {
 }
 
 
-def _type(value, types, schema, path):
-    types = [types] if isinstance(types, str) else types
-    if not any(_TYPES[t](value) for t in types):
-        yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+@functools.cache
+def _form(tp):
+    """The JSON Schema fragment of annotation ``tp`` and its reader.
+
+    A record is a closed object whose fields without a default are
+    required; a field's metadata may rename it (``json``) or add
+    ``minProperties``.  ``Optional`` adds ``null``, ``Literal`` is an
+    enum, ``tuple[X, ...]`` an array of ``X`` and ``Mapping[str, X]`` an
+    object of ``X`` values (a bare ``Mapping``, any object).
+
+    ``read(value, path, errors)`` checks a JSON value against the
+    fragment and builds it in the same walk.  It appends ``(path,
+    message)`` for each violation, with jsonschema's texts, keyword by
+    keyword in the fragment's key order.  A record is built only when
+    its entry added no error, and a key it leaves out takes the field's
+    default; an ``int`` reads an integral float such as 20.0 as its
+    integer, and a nullable section that is null or empty is None.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        fields, properties, required = [], {}, []
+        for f in dataclasses.fields(tp):
+            key = f.metadata.get("json", f.name)
+            fragment, read = _form(f.type)
+            properties[key] = {
+                **fragment, **{k: v for k, v in f.metadata.items() if k != "json"}
+            }
+            fields.append((f.name, key, read, f.metadata.get("minProperties", 0)))
+            if (f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING):
+                required.append(key)
+        schema = {"type": "object"}
+        if required:
+            schema["required"] = required
+        schema["additionalProperties"] = False
+        schema["properties"] = properties
+
+        def body(entry, path, errors):
+            before = len(errors)
+            errors += [(path, f"{key!r} is a required property")
+                       for key in required if key not in entry]
+            extras = [key for key in entry if key not in properties]
+            if extras:
+                names = ", ".join(map(repr, sorted(extras, key=str)))
+                verb = "was" if len(extras) == 1 else "were"
+                errors.append((path, f"Additional properties are not allowed "
+                                     f"({names} {verb} unexpected)"))
+            values = {}
+            for name, key, read, least in fields:
+                if key in entry:
+                    value = entry[key]
+                    values[name] = read(value, (*path, key), errors)
+                    if isinstance(value, dict) and len(value) < least:
+                        errors.append(((*path, key), f"{value!r} " + (
+                            "should be non-empty" if least == 1
+                            else "does not have enough properties"
+                        )))
+            return tp(**values) if len(errors) == before else None
+    elif origin is Union:
+        inner, read_inner = _form(args[0])
+        schema = {**inner, "type": [inner["type"], "null"]}
+
+        def body(value, path, errors):
+            out = None if value is None else read_inner(value, path, errors)
+            return None if value == {} else out
+    elif origin is Literal:
+        schema = {"enum": list(args)}
+
+        def body(value, path, errors):
+            # The enums list only strings, so ``in`` is JSON Schema's equality.
+            if value not in args:
+                errors.append((path, f"{value!r} is not one of {schema['enum']!r}"))
+            return value
+    elif origin is tuple:
+        items, read_item = _form(args[0])
+        schema = {"type": "array", "items": items}
+
+        def body(value, path, errors):
+            return tuple(read_item(item, (*path, i), errors)
+                         for i, item in enumerate(value))
+    elif origin is abc.Mapping and args:
+        values, read_value = _form(args[1])
+        schema = {"type": "object", "additionalProperties": values}
+
+        def body(value, path, errors):
+            return {k: read_value(v, (*path, k), errors) for k, v in value.items()}
+    else:
+        schema = {"type": "object" if origin is abc.Mapping else _JSON_TYPES[tp]}
+
+        def body(value, path, errors):
+            return int(value) if tp is int else value
+    if "type" not in schema:
+        return schema, body
+    types = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+    checks = [_TYPES[t] for t in types]
+    expected = ", ".join(map(repr, types))
+
+    def read(value, path, errors):
+        if any(check(value) for check in checks):
+            return body(value, path, errors)
+        errors.append((path, f"{value!r} is not of type {expected}"))
+    return schema, read
 
 
-def _enum(value, enum, schema, path):
-    # The schema's enums list only strings, so ``in`` is JSON Schema's equality.
-    if value not in enum:
-        yield path, f"{value!r} is not one of {enum!r}"
-
-
-def _required(value, required, schema, path):
-    if isinstance(value, dict):
-        for name in required:
-            if name not in value:
-                yield path, f"{name!r} is a required property"
-
-
-def _properties(value, properties, schema, path):
-    if isinstance(value, dict):
-        for name, sub in properties.items():
-            if name in value:
-                yield from _schema_errors(value[name], sub, (*path, name))
-
-
-def _additional(value, additional, schema, path):
-    if not isinstance(value, dict):
-        return
-    extras = [name for name in value if name not in schema.get("properties", {})]
-    if isinstance(additional, dict):
-        for name in extras:
-            yield from _schema_errors(value[name], additional, (*path, name))
-    elif extras and not additional:
-        names = ", ".join(map(repr, sorted(extras, key=str)))
-        verb = "was" if len(extras) == 1 else "were"
-        yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
-
-
-def _items(value, items, schema, path):
-    if isinstance(value, list):
-        for i, item in enumerate(value):
-            yield from _schema_errors(item, items, (*path, i))
-
-
-def _min_properties(value, least, schema, path):
-    if isinstance(value, dict) and len(value) < least:
-        yield path, f"{value!r} " + (
-            "should be non-empty" if least == 1 else "does not have enough properties"
-        )
-
-
-# The keywords ``SCENARIO_SCHEMA`` uses; ``$schema`` only names the draft.
-SCHEMA_KEYWORDS = {
-    "$schema": lambda value, uri, schema, path: (),
-    "type": _type,
-    "enum": _enum,
-    "required": _required,
-    "properties": _properties,
-    "additionalProperties": _additional,
-    "items": _items,
-    "minProperties": _min_properties,
+SCENARIO_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    **_form(ScenarioSpec)[0],
 }
 
 
-def _schema_errors(value, schema, path=()):
-    """(path, message) for each way ``value`` breaks ``schema``, keyword by
-    keyword in the schema's key order, with jsonschema's message texts."""
-    for keyword, arg in schema.items():
-        yield from SCHEMA_KEYWORDS[keyword](value, arg, schema, path)
-
-
-def validate_scenario_dict(doc: dict):
-    """Schema-validate a scenario document, reporting the failing path."""
-    errors = sorted(_schema_errors(doc, SCENARIO_SCHEMA), key=lambda e: e[0])
+def _read(doc) -> ScenarioSpec:
+    """The records of ``doc``; every schema violation, sorted by path,
+    raises ``InvalidConfigError``."""
+    errors = []
+    spec = _form(ScenarioSpec)[1](doc, (), errors)
     if errors:
         lines = []
-        for path, message in errors:
+        for path, message in sorted(errors, key=lambda e: e[0]):
             path = "$" + "".join(
                 f"[{p}]" if isinstance(p, int) else f".{p}" for p in path
             )
             lines.append(f"{path}: {message}")
         raise InvalidConfigError("invalid scenario file:\n" + "\n".join(lines))
+    return spec
+
+
+def validate_scenario_dict(doc: dict):
+    """Schema-validate a scenario document, reporting the failing path."""
+    _read(doc)
 
 
 def load_scenario(doc: dict) -> ScenarioSpec:
@@ -335,9 +329,8 @@ def load_scenario(doc: dict) -> ScenarioSpec:
     Records are built from their entries by field, so field defaults
     live only on the dataclasses.
     """
-    validate_scenario_dict(doc)
+    spec = _read(doc)
     _check_finite(doc)
-    spec = _reader(ScenarioSpec)(doc)
     for r in spec.regions:
         total = sum(r.classes.values())
         if abs(total - 1.0) > PROB_TOL:
@@ -353,32 +346,6 @@ def load_scenario(doc: dict) -> ScenarioSpec:
     _cross_check(spec)
     _check_non_negative(spec)
     return spec
-
-
-@functools.cache
-def _reader(tp):
-    """The function that builds a value of annotation ``tp`` from its
-    schema-valid JSON value.  A key a record's entry leaves out takes the
-    field's default, an ``int`` field reads an integral float such as
-    20.0 as its integer, and a nullable section that is null or empty is
-    None."""
-    if dataclasses.is_dataclass(tp):
-        fields = [(f.name, _json_name(f), _reader(f.type))
-                  for f in dataclasses.fields(tp)]
-        return lambda entry: tp(**{
-            name: read(entry[key]) for name, key, read in fields if key in entry
-        })
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is Union:
-        read = _reader(args[0])
-        return lambda value: None if value is None or value == {} else read(value)
-    if origin is tuple:
-        read = _reader(args[0])
-        return lambda value: tuple(map(read, value))
-    if origin is abc.Mapping and args:
-        read = _reader(args[1])
-        return lambda value: {k: read(v) for k, v in value.items()}
-    return int if tp is int else (lambda value: value)
 
 
 def _check_finite(doc: Mapping):
