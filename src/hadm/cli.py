@@ -38,6 +38,7 @@ from .strategies import (
     STRATEGIES,
     analytic_expectation,
     applicable_strategies,
+    applicable_strategy,
     episode_total,
     make_provider,
 )
@@ -137,10 +138,7 @@ def cmd_compare(args) -> int:
     rows = []
     truths = None  # each rollout's ground truth, shared by every strategy
     for name in names:
-        if not STRATEGIES[name].applicable(spec):
-            raise InvalidConfigError(
-                f"strategy {name!r} is not applicable to scenario {spec.name!r}"
-            )
+        applicable_strategy(name, spec)
         analytic = analytic_expectation(compiled, name, overrides=overrides)
         if truths is None:
             # Resolved after the first strategy's checks, which report first.

@@ -11,8 +11,6 @@ import json
 from ..errors import InvalidConfigError
 from .spec import ScenarioSpec, load_scenario
 
-_ENERGY = {"difficult": 600, "moderate": 300, "easy": 200}
-
 _SCENARIO_1 = {
     "name": "uncontrolled-degradation",
     "kind": "prognostics",

@@ -60,8 +60,6 @@ class FixedPlanProvider:
     """Plays the nominal plan action by action, then stops."""
 
     def __init__(self, compiled: CompiledScenario, seed: int = 0):
-        if not compiled.spec.nominal_plan:
-            raise InvalidConfigError("scenario declares no nominal plan")
         self.plan = [compiled.action(lbl) for lbl in compiled.spec.nominal_plan]
         self.pos = 0
 
@@ -91,8 +89,6 @@ class PhmCommitProvider:
     """
 
     def __init__(self, compiled: CompiledScenario, seed: int = 0):
-        if not compiled.spec.routes:
-            raise InvalidConfigError("scenario declares no routes")
         self.compiled = compiled
         self.rng = random.Random(seed)
         self.route_id = None
@@ -226,12 +222,21 @@ STRATEGIES = {
 }
 
 
-def make_provider(name: str, compiled: CompiledScenario, seed: int = 0):
+def applicable_strategy(name: str, spec):
+    """The provider class of strategy ``name``, checked to apply to ``spec``."""
     if name not in STRATEGIES:
         raise InvalidConfigError(
             f"unknown strategy {name!r}; choose from {sorted(STRATEGIES)}"
         )
-    return STRATEGIES[name](compiled, seed=seed)
+    if not STRATEGIES[name].applicable(spec):
+        raise InvalidConfigError(
+            f"strategy {name!r} is not applicable to scenario {spec.name!r}"
+        )
+    return STRATEGIES[name]
+
+
+def make_provider(name: str, compiled: CompiledScenario, seed: int = 0):
+    return applicable_strategy(name, compiled.spec)(compiled, seed=seed)
 
 
 def applicable_strategies(spec) -> list:

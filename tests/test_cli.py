@@ -384,6 +384,22 @@ class TestExitCodes:
              "--strategies", "phm-commit", "--rollouts", "1"]
         ) == 2
 
+    @pytest.mark.parametrize("strategy", ["shm-baseline", "fixed-plan", "phm-commit"])
+    def test_run_with_an_inapplicable_strategy_is_config_error(
+        self, capsys, tmp_path, strategy
+    ):
+        """``run`` reports what ``compare`` reports for a strategy that
+        needs a nominal plan or routes the scenario does not declare."""
+        doc = star(2)
+        del doc["nominal_plan"]
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in (["run", "--strategy"], ["compare", "--strategies"]):
+            assert run_cli([*command, strategy, "--scenario", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: strategy {strategy!r} is not applicable to scenario 'star-2'\n"
+            )
+
     @pytest.mark.parametrize("strategies, message", [
         ("phm-commit,hadm",
          "strategy 'phm-commit' is not applicable to scenario 'recharge-decision'"),

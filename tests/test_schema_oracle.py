@@ -18,7 +18,12 @@ import pytest
 
 import hadm
 from hadm.errors import InvalidConfigError
-from hadm.rover import builtin_scenario_dict, validate_scenario_dict
+from hadm.rover import (
+    ScenarioSpec,
+    builtin_scenario_dict,
+    load_scenario,
+    validate_scenario_dict,
+)
 from hadm.rover.spec import SCENARIO_SCHEMA
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -184,6 +189,26 @@ def test_checker_matches_jsonschema_on_mutated_documents():
         failing += bool(expected)
     # Both outcomes are well represented.
     assert DOCUMENTS // 3 < failing < DOCUMENTS * 9 // 10
+
+
+def test_load_scenario_on_mutated_documents():
+    """``load_scenario`` checks and builds in one walk: every document
+    ends in records or ``InvalidConfigError``, never another exception,
+    and one that jsonschema rejects fails with exactly its lines."""
+    loaded = 0
+    for doc in documents(14, DOCUMENTS):
+        expected = reference_lines(doc)
+        try:
+            spec = load_scenario(doc)
+        except InvalidConfigError as exc:
+            if expected:
+                assert str(exc).split("\n") == ["invalid scenario file:", *expected], doc
+            continue
+        assert not expected, doc
+        assert isinstance(spec, ScenarioSpec)
+        loaded += 1
+    # Many documents get as far as records.
+    assert loaded > DOCUMENTS // 5
 
 
 def test_unmutated_documents_pass():
