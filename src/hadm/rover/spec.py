@@ -225,15 +225,16 @@ def _form(tp):
                 required.append(key)
         schema = {"type": "object"}
         if required:
-            schema["required"] = required
+            schema["required"] = list(required)
         schema["additionalProperties"] = False
         schema["properties"] = properties
+        known = frozenset(properties)  # SCENARIO_SCHEMA exposes `properties`
 
         def body(entry, path, errors):
             before = len(errors)
             errors += [(path, f"{key!r} is a required property")
                        for key in required if key not in entry]
-            extras = [key for key in entry if key not in properties]
+            extras = [key for key in entry if key not in known]
             if extras:
                 names = ", ".join(map(repr, sorted(extras, key=str)))
                 verb = "was" if len(extras) == 1 else "were"
@@ -263,7 +264,7 @@ def _form(tp):
         def body(value, path, errors):
             # The enums list only strings, so ``in`` is JSON Schema's equality.
             if value not in args:
-                errors.append((path, f"{value!r} is not one of {schema['enum']!r}"))
+                errors.append((path, f"{value!r} is not one of {list(args)!r}"))
             return value
     elif origin is tuple:
         items, read_item = _form(args[0])
