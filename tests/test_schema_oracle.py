@@ -1,7 +1,8 @@
 """The in-tree scenario schema check against jsonschema.
 
-``validate_scenario_dict`` checks ``SCENARIO_SCHEMA`` with its own small
-checker.  Over seeded mutations of builtin:1-4, a ladder-shaped document
+``validate_scenario_dict`` and ``load_scenario`` check a document
+against ``SCENARIO_SCHEMA`` in-tree, in the walk that builds the
+records.  Over seeded mutations of builtin:1-4, a ladder-shaped document
 and documents sampled from the schema itself (dropped and added keys,
 retyped values, bools in number fields, integral floats in ``horizon``
 and ``priority``, unknown enum values, empty ``classes``), its error
