@@ -16,7 +16,6 @@ match the executed branch exactly.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from types import MappingProxyType
@@ -50,7 +49,7 @@ class RoverState(NamedTuple):
 
     ``science`` holds one status per declared activity and ``terrain``
     one class (None until revealed) per declared region, both in the
-    spec's declaration order; ``label`` and ``components`` take their ids
+    spec's declaration order; ``label`` and ``_channels`` take their ids
     from the spec.
     """
 
@@ -74,18 +73,6 @@ class RoverState(NamedTuple):
             parts.append(self.status)
         return "|".join(parts)
 
-    def components(self, spec: ScenarioSpec):
-        """Named state-vector components with unit-bearing names."""
-        out = [("waypoint", self.position), ("time_h", _round(self.time_h))]
-        if self.battery_wh is not None:
-            out.append(("battery_wh", _round(self.battery_wh)))
-        if self.temp_c is not None:
-            out.append(("motor_temp_c", _round(self.temp_c)))
-        out += [(f"science:{a.id}", st) for a, st in zip(spec.activities, self.science)]
-        out += [(f"terrain:{r.id}", c) for r, c in zip(spec.regions, self.terrain)]
-        out.append(("status", self.status))
-        return out
-
 
 class _Branch(NamedTuple):
     state: RoverState
@@ -95,10 +82,17 @@ class _Branch(NamedTuple):
 
 
 def _channels(spec: ScenarioSpec, st: RoverState, s: int) -> dict:
-    """The observation channels of state ``s``: its components, its index
-    and whether it is at a charge point.  The keys, and which values are
-    numbers, depend only on the spec."""
-    built = dict(st.components(spec))
+    """The observation channels of state ``s``: its components under
+    unit-bearing names, its index and whether it is at a charge point.
+    The keys, and which values are numbers, depend only on the spec."""
+    built = {"waypoint": st.position, "time_h": _round(st.time_h)}
+    if st.battery_wh is not None:
+        built["battery_wh"] = _round(st.battery_wh)
+    if st.temp_c is not None:
+        built["motor_temp_c"] = _round(st.temp_c)
+    built.update((f"science:{a.id}", x) for a, x in zip(spec.activities, st.science))
+    built.update((f"terrain:{r.id}", c) for r, c in zip(spec.regions, st.terrain))
+    built["status"] = st.status
     built["state_index"] = s
     built["at_charge_point"] = (
         st.status == OK and spec.waypoint(st.position).charge_point
@@ -188,7 +182,6 @@ class _Compiler:
         if spec.kind != "rover" or spec.mission is None:
             raise InvalidConfigError("only rover scenarios with a mission compile")
         self.spec = spec
-        self.rv_defs = {}
         regions = {r.id: i for i, r in enumerate(spec.regions)}
         activities = {a.id: i for i, a in enumerate(spec.activities)}
         self.required = tuple(activities[a] for a in spec.mission.require_activities)
@@ -287,12 +280,10 @@ class _Compiler:
             out.append(self.cool)
         return out
 
-    def expand(self, st: RoverState, a: int):
-        return self.actions[a][1](st)
-
-    def _step(self, st, hours, watts, energy_wh=None, motor=None):
-        """``st`` after an action of ``hours`` that draws ``watts``: the
-        one place where time, battery and motor temperature advance.
+    def _step(self, st, hours, watts, energy_wh=None, motor=None, **changes):
+        """``st`` after an action of ``hours`` that draws ``watts``, with
+        ``changes`` applied: the one place where time, battery and motor
+        temperature advance.
 
         The battery pays ``energy_wh`` when it is given, is integrated
         over the sunlit and dark parts of the action under a ``power``
@@ -339,7 +330,7 @@ class _Compiler:
                 temp = max(th.nominal_c, float(temp) - th.cool_rate_c_per_h * hours)
             temp = _round(temp)
         return st._replace(time_h=_round(st.time_h + hours), battery_wh=b,
-                           temp_c=temp, status=status)
+                           temp_c=temp, status=status, **changes)
 
     def _charge_hours(self, st):
         """Hours to charge to full from ``st``; None where charging is not
@@ -369,7 +360,6 @@ class _Compiler:
         else:
             rv = f"terrain:{seg.region}"
             classes = self.spec.regions[region].classes
-            self.rv_defs.setdefault(rv, dict(classes))
             before, after = st.terrain[:region], st.terrain[region + 1:]
             branches = [(p, c, (rv, c), before + (c,) + after)
                         for c, p in classes.items()]
@@ -383,22 +373,19 @@ class _Compiler:
                         f"segment {seg.id!r} has no energy for terrain {cls!r}"
                     )
                 energy = seg.energy_wh[cls]
-            nxt = self._step(st, seg.duration_h, watts, energy, motor)
-            nxt = nxt._replace(position=seg.to, terrain=terrain)
+            nxt = self._step(st, seg.duration_h, watts, energy, motor,
+                             position=seg.to, terrain=terrain)
             out.append(_Branch(nxt, prob, assign, 0.0 if energy is None else energy))
         return out
 
     def _science(self, act, i, st):
-        base = self._step(st, act.duration_h, act.load_w)
         before, after = st.science[:i], st.science[i + 1:]
-        done = base._replace(science=before + ("done",) + after)
+        done = self._step(st, act.duration_h, act.load_w,
+                          science=before + ("done",) + after)
         if st.science[i] == "redo" or act.redo_prob <= 0.0:
             return [_Branch(done, 1.0)]
         rv = f"redo:{act.id}"
-        self.rv_defs.setdefault(
-            rv, {"false": 1.0 - act.redo_prob, "true": act.redo_prob}
-        )
-        redo = base._replace(science=before + ("redo",) + after)
+        redo = done._replace(science=before + ("redo",) + after)
         return [
             _Branch(done, 1.0 - act.redo_prob, (rv, "false")),
             _Branch(redo, act.redo_prob, (rv, "true")),
@@ -484,7 +471,9 @@ def _check_channels(spec: ScenarioSpec, channels: Mapping):
 
 
 def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledScenario:
-    """Compile a scenario into a validated Problem by forward reachability."""
+    """Compile a scenario into a validated Problem by forward reachability,
+    expanding states in index order; ``rv_defs`` takes each variable's
+    distribution from its first stochastic row."""
     comp = _Compiler(spec)
     action_index = {label: a for a, (label, _, _) in enumerate(comp.actions)}
     _check_action_labels(spec, action_index)
@@ -492,62 +481,58 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
     _check_channels(spec, _channels(spec, s0, 0))
     states = [s0]
     index = {s0: 0}
-    queue = deque([0])
-    admissible = {}
+    admissible = []
     transitions = {}
-    rewards = {}
     transition_rewards = {}
     outcomes = {}
     terminal = set()
 
-    while queue:
-        s = queue.popleft()
-        st = states[s]
-        acts = comp.admissible_actions(st)
+    for s, st in enumerate(states):  # grows while it is walked
+        acts = tuple(comp.admissible_actions(st))
+        admissible.append(acts)
         if st.status != OK:
             terminal.add(s)
-        admissible[s] = tuple(acts)
         for a in acts:
+            branches = comp.actions[a][1](st)
             rows = []
-            expanded = comp.expand(st, a)
-            for br in expanded:
-                s2_state = comp.finalize(br.state)
-                if s2_state not in index:
+            for br in branches:
+                nxt = comp.finalize(br.state)
+                s2 = index.get(nxt)
+                if s2 is None:
                     if len(states) >= max_states:
                         raise ResourceLimitError(
                             f"compiled state count exceeded {max_states} "
-                            f"(growing dimension near {s2_state.label(spec)!r})"
+                            f"(growing dimension near {nxt.label(spec)!r})"
                         )
-                    index[s2_state] = len(states)
-                    states.append(s2_state)
-                    queue.append(index[s2_state])
-                s2 = index[s2_state]
+                    s2 = index[nxt] = len(states)
+                    states.append(nxt)
                 rho = 0.0
                 if spec.reward.step_energy:
                     rho -= br.energy_wh
-                if s2_state.status != OK and st.status == OK:
-                    rho += comp.terminal_value(s2_state)
+                if nxt.status != OK and st.status == OK:
+                    rho += comp.terminal_value(nxt)
                 if rho != 0.0:
                     transition_rewards[(s, a, s2)] = rho
                 rows.append((s2, br.prob))
-            transitions[(s, a)] = tuple(rows)
-            rewards[(s, a)] = 0.0
-            if expanded[0].assign is not None:
-                rv = expanded[0].assign[0]
-                outcomes[(s, a)] = (rv, tuple(br.assign[1] for br in expanded))
+            key = (s, a)
+            transitions[key] = tuple(rows)
+            if branches[0].assign is not None:
+                outcomes[key] = (branches[0].assign[0],
+                                 tuple(br.assign[1] for br in branches))
 
-    n = len(states)
-    labels = tuple(st.label(spec) for st in states)
-    adm = tuple(admissible[s] for s in range(n))
+    rv_defs = {}
+    for key, (rv, values) in outcomes.items():
+        if rv not in rv_defs:
+            rv_defs[rv] = {v: p for v, (_, p) in zip(values, transitions[key])}
     problem = Problem(
-        state_labels=labels,
+        state_labels=tuple(st.label(spec) for st in states),
         action_labels=tuple(label for label, _, _ in comp.actions),
-        admissible=adm,
+        admissible=tuple(admissible),
         transitions=transitions,
-        rewards=rewards,
+        rewards=dict.fromkeys(transitions, 0.0),
         terminal=frozenset(terminal),
         gamma=1.0,
-        horizon=n,
+        horizon=len(states),
         transition_rewards=transition_rewards,
     )
     return CompiledScenario(
@@ -555,7 +540,7 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
         problem=problem,
         states=states,
         initial_state=0,
-        rv_defs=comp.rv_defs,
+        rv_defs=rv_defs,
         outcomes=outcomes,
         action_index=action_index,
         targets=tuple(target for _, _, target in comp.actions),
