@@ -89,6 +89,9 @@ def cmd_run(args) -> int:
     _require_rover(spec)
     compiled = compile_scenario(spec, max_states=args.max_states)
     overrides = _parse_overrides(args.set)
+    # Checked where ``compare`` checks it: after compile, before --set
+    # is resolved against the scenario's variables.
+    applicable_strategy(args.strategy, spec)
     plant = Plant(compiled, seed=args.seed, overrides=overrides)
     provider = make_provider(args.strategy, compiled, seed=args.seed)
     trace = run_loop(plant, compiled.problem, provider)
@@ -127,6 +130,10 @@ def cmd_compare(args) -> int:
     overrides = _parse_overrides(args.set)
     if args.strategies:
         names = [s.strip() for s in args.strategies.split(",") if s.strip()]
+        if not names:
+            raise InvalidConfigError(
+                f"--strategies {args.strategies!r} names no strategy"
+            )
         for name in names:
             if name not in STRATEGIES:
                 raise InvalidConfigError(f"unknown strategy {name!r}")
@@ -200,6 +207,8 @@ def cmd_predict(args) -> int:
     )
     threshold = EventThreshold(h_min=deg.h_min)
     rhos = args.rho if args.rho else [1.0, 0.25]
+    # Every check runs before the first write, so an error writes nothing.
+    dist_req = PrognosisRequest(rho_p=args.dist_rho, horizon=deg.horizon)
 
     lines = ["rho_p,t_p,eol_det,eol_stoch,sigma,rul"]
     for rho_p in rhos:
@@ -216,13 +225,11 @@ def cmd_predict(args) -> int:
             lines.append(f"rho_star,,,,{rho_star!r},")
         except UnconstrainedSigmaError:
             lines.append("rho_star,,,,unconstrained,")
+    dist = prognose(model, dist_req, threshold) if args.dist_out else None
     _emit("\n".join(lines) + "\n", args.out)
-
-    if args.dist_out:
-        req = PrognosisRequest(rho_p=args.dist_rho, horizon=deg.horizon)
-        res = prognose(model, req, threshold)
+    if dist is not None:
         with open(args.dist_out, "w", encoding="utf-8", newline="") as fh:
-            res.write_csv(fh)
+            dist.write_csv(fh)
     return 0
 
 

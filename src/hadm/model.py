@@ -245,6 +245,17 @@ def plan_utility(problem: Problem, s0: int, plan: Plan) -> float:
     return total
 
 
+def _entry(problem, s, choice):
+    """One policy entry at ``s`` as ((a, p), ...): an action index,
+    "uniform" over ``admissible[s]``, or (a, p) pairs."""
+    if choice == "uniform":
+        acts = problem.admissible[s]
+        return tuple((a, 1.0 / len(acts)) for a in acts)
+    if isinstance(choice, int):
+        return ((choice, 1.0),)
+    return tuple(choice)
+
+
 def _normalize_level(problem, level):
     """Turn one policy level into state -> ((a, p), ...)."""
     if isinstance(level, Policy):
@@ -259,10 +270,7 @@ def _normalize_level(problem, level):
             raise InvalidConfigError(
                 f"policy undefined for non-terminal state {problem.state_labels[s]!r}"
             )
-        if isinstance(choice, int):
-            out[s] = ((choice, 1.0),)
-        else:
-            out[s] = tuple(choice)
+        out[s] = _entry(problem, s, choice)
     return out
 
 
@@ -496,18 +504,11 @@ def belief_update(problem: Problem, b: Belief, a: int, o: int) -> Belief:
 def _behavior_next(problem, behavior, s, plan_pos):
     """Action distribution at s for a plan / policy / 'uniform' behavior."""
     if behavior == "uniform" or behavior is None:
-        acts = problem.admissible[s]
-        return [(a, 1.0 / len(acts)) for a in acts], plan_pos
+        return _entry(problem, s, "uniform"), plan_pos
     if isinstance(behavior, Policy):
         behavior = behavior.actions
     if isinstance(behavior, Mapping):
-        choice = behavior.get(s, "uniform")
-        if choice == "uniform":
-            acts = problem.admissible[s]
-            return [(a, 1.0 / len(acts)) for a in acts], plan_pos
-        if isinstance(choice, int):
-            return [(choice, 1.0)], plan_pos
-        return list(choice), plan_pos
+        return _entry(problem, s, behavior.get(s, "uniform")), plan_pos
     # Plan: a fixed action sequence.
     if plan_pos >= len(behavior):
         return None, plan_pos

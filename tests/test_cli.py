@@ -400,19 +400,23 @@ class TestExitCodes:
                 f"error: strategy {strategy!r} is not applicable to scenario 'star-2'\n"
             )
 
-    @pytest.mark.parametrize("strategies, message", [
-        ("phm-commit,hadm",
+    @pytest.mark.parametrize("command, message", [
+        (["compare", "--strategies", "phm-commit,hadm", "--rollouts", "1"],
          "strategy 'phm-commit' is not applicable to scenario 'recharge-decision'"),
-        ("hadm,phm-commit",
+        (["compare", "--strategies", "hadm,phm-commit", "--rollouts", "1"],
          "unknown ground-truth variable 'weather'; declared: ['redo', 'redo:sci1']"),
-    ], ids=["inapplicable_first", "applicable_first"])
+        (["run", "--strategy", "phm-commit"],
+         "strategy 'phm-commit' is not applicable to scenario 'recharge-decision'"),
+        (["compare", "--strategies", ",", "--rollouts", "1"],
+         "--strategies ',' names no strategy"),
+    ], ids=["inapplicable_first", "applicable_first", "run", "no_strategy"])
     def test_bad_override_with_an_inapplicable_strategy(
-        self, capsys, strategies, message
+        self, capsys, command, message
     ):
-        """The first listed strategy decides which error is reported."""
+        """The first listed strategy decides which error is reported;
+        ``run`` checks its strategy before the overrides too."""
         assert run_cli(
-            ["compare", "--scenario", "builtin:3", "--strategies", strategies,
-             "--rollouts", "1", "--set", "weather=sunny"]
+            [*command, "--scenario", "builtin:3", "--set", "weather=sunny"]
         ) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -485,6 +489,15 @@ class TestPredictExitCodes:
         assert capsys.readouterr().err == (
             "error: threshold must be below the starting health\n"
         )
+
+    def test_invalid_dist_rho_writes_nothing(self, tmp_path, capsys):
+        out, dist = tmp_path / "o.csv", tmp_path / "d.csv"
+        assert run_cli(
+            ["predict", "--scenario", "builtin:1", "--out", str(out),
+             "--dist-out", str(dist), "--dist-rho", "0"]
+        ) == 2
+        assert capsys.readouterr().err == "error: rho_p must be in (0, 1]\n"
+        assert not out.exists() and not dist.exists()
 
     def test_node_cap_applies_only_to_the_distribution(self, tmp_path, capsys):
         # Nothing crosses within the horizon, so step k holds k + 1 live

@@ -709,6 +709,19 @@ class TestOpenAndClosedLoop:
         with pytest.raises(InvalidConfigError):
             evaluate_policy(p, [Policy(actions={0: 0, 1: 0, 2: 1})], t=1)
 
+    def test_uniform_entry_equals_its_explicit_level(self):
+        """A "uniform" policy entry reads as ((a, 1/k), ...) over
+        ``admissible[s]``, bit for bit, in both policy readers."""
+        p = compile_scenario(load_scenario(builtin_scenario_dict(4))).problem
+        explicit = {s: tuple((a, 1.0 / len(acts)) for a in acts)
+                    for s, acts in enumerate(p.admissible)}
+        uniform = dict.fromkeys(range(p.n_states), "uniform")
+        assert max(len(acts) for acts in p.admissible) == 3
+        assert (repr(evaluate_policy(p, uniform, t=p.horizon).values)
+                == repr(evaluate_policy(p, explicit, t=p.horizon).values))
+        assert (repr(open_loop_expectation(p, 0, uniform))
+                == repr(open_loop_expectation(p, 0, explicit)))
+
 
 def tree_open_loop(problem, s0, behavior, horizon=None):
     """Open-loop expectation by plain recursion over the scenario tree.
