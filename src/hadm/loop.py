@@ -58,13 +58,12 @@ def belief_summary(problem: Problem, belief: Belief):
     return [(problem.state_labels[s], round(p, 9)) for p, s in ranked[:3]]
 
 
-def observation_index(observation) -> int:
-    """The observation-alphabet index carried by a plant observation."""
-    ch = observation.channels
-    if "observation_index" in ch:
-        return ch["observation_index"]
-    if "state_index" in ch:
-        return ch["state_index"]
+def observation_index(observation: Mapping) -> int:
+    """The observation-alphabet index carried by a plant's channels."""
+    if "observation_index" in observation:
+        return observation["observation_index"]
+    if "state_index" in observation:
+        return observation["state_index"]
     raise InvalidConfigError(
         "observation carries neither observation_index nor state_index"
     )
@@ -304,7 +303,7 @@ def run_loop(
     """Execute the loop until the terminal set is believed reached.
 
     ``plant`` must expose observe() and step(action) -> (observation,
-    reward).  The belief starts at ``b0`` (default: point mass on the
+    reward), an observation being a mapping of channel readings.  The belief starts at ``b0`` (default: point mass on the
     plant's current state) and is Bayes-updated after every step; the
     loop stops once its terminal mass reaches ``TERMINAL_BELIEF``.  An
     impossible observation aborts with the diagnostic recorded on the
@@ -326,7 +325,7 @@ def run_loop(
         if step == max_steps:
             break
         proposed = provider.decide(problem, b, obs, step)
-        action, tag = arbitrate(s_hat, obs.channels, ser, proposed)
+        action, tag = arbitrate(s_hat, obs, ser, proposed)
         if action is None:
             break
         summary = belief_summary(problem, b)
@@ -343,7 +342,7 @@ def run_loop(
                 belief=summary,
                 action=problem.action_labels[action],
                 provider=tag,
-                observation=dict(obs.channels),
+                observation=dict(obs),
                 reward=reward,
                 cumulative=trace.total,
             )

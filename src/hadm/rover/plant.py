@@ -10,9 +10,9 @@ the same seed reproduces the trace exactly.
 from __future__ import annotations
 
 import random
+from typing import Mapping
 
 from ..errors import InvalidConfigError
-from ..shm import SensorObservation
 from .compiler import CompiledScenario
 
 
@@ -88,8 +88,9 @@ class Plant:
         self.assignments = assignments
         self.state = compiled.initial_state
 
-    def observe(self) -> SensorObservation:
-        return SensorObservation(channels=self.compiled.channels(self.state))
+    def observe(self) -> Mapping:
+        """The current state's read-only channel mapping."""
+        return self.compiled.channels(self.state)
 
     def step(self, action: int):
         """Execute an action; returns (observation, realized reward)."""

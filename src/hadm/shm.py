@@ -27,19 +27,6 @@ ORDERING = frozenset({">", ">=", "<", "<="})
 
 
 @dataclass(frozen=True)
-class SensorObservation:
-    """Named channel readings."""
-
-    channels: Mapping
-
-    def __getitem__(self, channel):
-        return self.channels[channel]
-
-    def get(self, channel, default=None):
-        return self.channels.get(channel, default)
-
-
-@dataclass(frozen=True)
 class ThresholdPredicate:
     """Fires when ``channel <op> limit``; an optional guard restricts it
     to observations whose guard channels match exactly."""
@@ -49,24 +36,24 @@ class ThresholdPredicate:
     limit: float
     when: Mapping = None
 
-    def fires(self, obs: SensorObservation) -> bool:
+    def fires(self, obs: Mapping) -> bool:
         if self.op not in _OPS:
             raise InvalidConfigError(f"unknown comparator {self.op!r}")
-        if self.channel not in obs.channels:
+        if self.channel not in obs:
             raise InvalidConfigError(f"unknown channel {self.channel!r}")
         if self.when:
             for ch, expected in self.when.items():
-                if ch not in obs.channels:
+                if ch not in obs:
                     raise InvalidConfigError(f"unknown guard channel {ch!r}")
-                if obs.channels[ch] != expected:
+                if obs[ch] != expected:
                     return False
-        value = obs.channels[self.channel]
+        value = obs[self.channel]
         if value is None:
             return False
         return _OPS[self.op](value, self.limit)
 
 
-def detect(predicates: Sequence, obs: SensorObservation) -> tuple:
+def detect(predicates: Sequence, obs: Mapping) -> tuple:
     """The red-line predicates that fire on ``obs``, in order.  Every one
     is evaluated, so a bad channel fails even after another has fired."""
     return tuple(p for p in predicates if p.fires(obs))
@@ -98,7 +85,7 @@ class DiagnosisRule:
 UNKNOWN_FAULT = FaultDescriptor(component="unknown", mode="unknown", probability=0.0)
 
 
-def diagnose(rules: Sequence, obs: SensorObservation, fired) -> list:
+def diagnose(rules: Sequence, obs: Mapping, fired) -> list:
     """Rule-table lookup from fired predicates to fault descriptors.
 
     Unmatched predicates produce the zero-probability unknown-fault
@@ -123,7 +110,7 @@ def diagnose(rules: Sequence, obs: SensorObservation, fired) -> list:
     return out
 
 
-def prognose_fault(descriptor: FaultDescriptor, obs: SensorObservation):
+def prognose_fault(descriptor: FaultDescriptor, obs: Mapping):
     """Linear extrapolation to the damage limit: (limit - current) / rate.
 
     The descriptor must carry ``rate``, ``channel`` and ``limit``

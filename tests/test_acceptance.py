@@ -325,7 +325,7 @@ def test_criterion_8_execution_safety():
     replay = Plant(crater, seed=17)
     for record in trace_a.records:
         obs, reward = replay.step(crater.action(record.action))
-        ok &= dict(obs.channels) == record.observation
+        ok &= dict(obs) == record.observation
         ok &= reward == record.reward
 
     hill = compile_scenario(builtin_scenario(4))

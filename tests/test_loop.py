@@ -368,7 +368,7 @@ class TestRunLoop:
         for record in trace.records:
             action = crater.action(record.action)
             obs, reward = replay.step(action)
-            assert dict(obs.channels) == record.observation
+            assert dict(obs) == record.observation
             assert reward == record.reward
 
     def test_ser_override_completeness(self, hill):

@@ -167,7 +167,7 @@ class TestEnergyAndThermalModels:
         plant = Plant(hill, seed=0)
         for label in ("drive:up0", "drive:up1"):
             obs, _ = plant.step(hill.action(label))
-        assert obs.channels["motor_temp_c"] == 60.0
+        assert obs["motor_temp_c"] == 60.0
         assert {nxt.temp_c for st, nxt in _moves(hill, "cool:1h")
                 if st.temp_c == 60} == {20.0}
         # Cooling never goes below nominal.
@@ -266,7 +266,7 @@ class TestCompilation:
         for a in up[:2]:
             plant.step(a)
         obs, reward = plant.step(up[2])
-        assert obs.channels["status"] == MOTOR_FAILURE
+        assert obs["status"] == MOTOR_FAILURE
         assert reward == -1000000.0
 
     def test_state_cap_enforced(self):
@@ -318,11 +318,11 @@ class TestPlant:
     def test_step_follows_pinned_branch(self, crater):
         plant = Plant(crater, seed=0, overrides={"terrain": "difficult-both"})
         obs, reward = plant.step(crater.action("drive:L1"))
-        assert obs.channels["terrain:left"] == "difficult"
+        assert obs["terrain:left"] == "difficult"
         assert reward == -600.0
         obs, reward = plant.step(crater.action("drive:L2"))
-        assert obs.channels["status"] == STRANDED
-        assert obs.channels["battery_wh"] == -100.0
+        assert obs["status"] == STRANDED
+        assert obs["battery_wh"] == -100.0
         # The stranding branch also pays the terminal penalty/bonus (none
         # here beyond the energy itself).
         assert reward == -600.0
@@ -331,8 +331,8 @@ class TestPlant:
         plant = Plant(crater, seed=0, overrides={"terrain": "moderate-both"})
         plant.step(crater.action("drive:L1"))
         obs, _ = plant.step(crater.action("drive:L2"))
-        assert obs.channels["status"] == COMPLETE
-        assert obs.channels["battery_wh"] == 500.0
+        assert obs["status"] == COMPLETE
+        assert obs["battery_wh"] == 500.0
 
     def test_inadmissible_action_rejected(self, crater):
         plant = Plant(crater, seed=0)
@@ -342,28 +342,28 @@ class TestPlant:
     def test_charge_timeline(self, recharge):
         plant = Plant(recharge, seed=0)
         obs, _ = plant.step(recharge.action("charge_to_full"))
-        assert obs.channels["battery_wh"] == 1500
-        assert obs.channels["time_h"] == 4.0
+        assert obs["battery_wh"] == 1500
+        assert obs["time_h"] == 4.0
 
     def test_redo_override_timeline(self, recharge):
         plant = Plant(recharge, seed=0, overrides={"redo": "true"})
         plant.step(recharge.action("drive:d01"))
         obs, _ = plant.step(recharge.action("science:sci1"))
-        assert obs.channels["science:sci1"] == "redo"
+        assert obs["science:sci1"] == "redo"
         obs, _ = plant.step(recharge.action("science:sci1"))
-        assert obs.channels["science:sci1"] == "done"
-        assert obs.channels["battery_wh"] == 500.0  # 300 + 2 * 100
+        assert obs["science:sci1"] == "done"
+        assert obs["battery_wh"] == 500.0  # 300 + 2 * 100
 
     def test_observation_matches_compiled_state(self, crater):
         plant = Plant(crater, seed=3)
         obs = plant.observe()
-        assert obs.channels["state_index"] == plant.state
-        assert obs.channels["waypoint"] == "wp0"
-        assert obs.channels["battery_wh"] == 1100
+        assert obs["state_index"] == plant.state
+        assert obs["waypoint"] == "wp0"
+        assert obs["battery_wh"] == 1100
 
     def test_channels_are_built_once_and_read_only(self, crater):
-        a = Plant(crater, seed=0).observe().channels
-        assert Plant(crater, seed=1).observe().channels is a
+        a = Plant(crater, seed=0).observe()
+        assert Plant(crater, seed=1).observe() is a
         with pytest.raises(TypeError):
             a["battery_wh"] = 0
 

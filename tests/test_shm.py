@@ -9,7 +9,6 @@ from hadm.shm import (
     DiagnosisRule,
     FaultDescriptor,
     MitigationRule,
-    SensorObservation,
     ThresholdPredicate,
     detect,
     diagnose,
@@ -22,7 +21,7 @@ TEMP_PRED = ThresholdPredicate(channel="motor_temp_c", op=">", limit=40)
 
 
 def obs(**channels):
-    return SensorObservation(channels=channels)
+    return channels
 
 
 class TestDetection:
