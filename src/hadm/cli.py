@@ -124,10 +124,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    spec = _load_spec(args.scenario)
-    _require_rover(spec)
-    compiled = compile_scenario(spec, max_states=args.max_states)
-    overrides = _parse_overrides(args.set)
+    # The arguments that need no scenario are checked before it compiles.
+    names = None
     if args.strategies:
         names = [s.strip() for s in args.strategies.split(",") if s.strip()]
         if not names:
@@ -137,10 +135,14 @@ def cmd_compare(args) -> int:
         for name in names:
             if name not in STRATEGIES:
                 raise InvalidConfigError(f"unknown strategy {name!r}")
-    else:
-        names = applicable_strategies(spec)
     if args.rollouts < 1:
         raise InvalidConfigError("--rollouts must be at least 1")
+    spec = _load_spec(args.scenario)
+    _require_rover(spec)
+    compiled = compile_scenario(spec, max_states=args.max_states)
+    overrides = _parse_overrides(args.set)
+    if names is None:
+        names = applicable_strategies(spec)
 
     rows = []
     truths = None  # each rollout's ground truth, shared by every strategy

@@ -303,9 +303,10 @@ def run_loop(
     """Execute the loop until the terminal set is believed reached.
 
     ``plant`` must expose observe() and step(action) -> (observation,
-    reward), an observation being a mapping of channel readings.  The belief starts at ``b0`` (default: point mass on the
-    plant's current state) and is Bayes-updated after every step; the
-    loop stops once its terminal mass reaches ``TERMINAL_BELIEF``.  An
+    reward), an observation being a mapping of channel readings.  The
+    belief starts at ``b0`` (default: point mass on the plant's current
+    state) and is Bayes-updated after every step; the loop stops once
+    its terminal mass reaches ``TERMINAL_BELIEF``.  An
     impossible observation aborts with the diagnostic recorded on the
     trace; a provider returning None (and no safety override) truncates.
     """

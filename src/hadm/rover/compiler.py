@@ -474,6 +474,8 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
     """Compile a scenario into a validated Problem by forward reachability,
     expanding states in index order; ``rv_defs`` takes each variable's
     distribution from its first stochastic row."""
+    if max_states < 1:
+        raise InvalidConfigError(f"max_states must be at least 1, got {max_states}")
     comp = _Compiler(spec)
     action_index = {label: a for a, (label, _, _) in enumerate(comp.actions)}
     _check_action_labels(spec, action_index)

@@ -409,7 +409,10 @@ class TestExitCodes:
          "strategy 'phm-commit' is not applicable to scenario 'recharge-decision'"),
         (["compare", "--strategies", ",", "--rollouts", "1"],
          "--strategies ',' names no strategy"),
-    ], ids=["inapplicable_first", "applicable_first", "run", "no_strategy"])
+        (["compare", "--strategies", "nosuch", "--max-states", "5"],
+         "unknown strategy 'nosuch'"),
+    ], ids=["inapplicable_first", "applicable_first", "run", "no_strategy",
+            "unknown_under_state_cap"])
     def test_bad_override_with_an_inapplicable_strategy(
         self, capsys, command, message
     ):
@@ -420,10 +423,21 @@ class TestExitCodes:
         ) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_zero_rollouts_is_config_error(self, capsys):
+    @pytest.mark.parametrize("extra", [[], ["--max-states", "5"]],
+                             ids=["uncapped", "under_state_cap"])
+    def test_zero_rollouts_is_config_error(self, capsys, extra):
         assert run_cli(
-            ["compare", "--scenario", "builtin:2", "--rollouts", "0"]
+            ["compare", "--scenario", "builtin:2", "--rollouts", "0", *extra]
         ) == 2
+
+    @pytest.mark.parametrize("command", [["solve"], ["run"], ["compare"]])
+    def test_max_states_below_one_is_config_error(self, capsys, command):
+        assert run_cli(
+            [*command, "--scenario", "builtin:2", "--max-states", "0"]
+        ) == 2
+        assert capsys.readouterr().err == (
+            "error: max_states must be at least 1, got 0\n"
+        )
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--scenario", "builtin:3", "--seed", "1"],

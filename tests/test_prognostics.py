@@ -297,6 +297,37 @@ class TestMonteCarlo:
         )
         assert out.stdout.strip() == "False"
 
+    def test_prognostics_loads_no_other_layer(self):
+        """The ``hadm`` package re-exports nothing, so importing one
+        module loads only the modules it depends on."""
+        assert hadm_modules_loaded_by("import hadm.prognostics") == {
+            "hadm", "hadm.errors", "hadm.prognostics",
+        }
+
+    def test_rover_loads_neither_the_loop_nor_the_strategies(self):
+        loaded = hadm_modules_loaded_by("from hadm.rover import compile_scenario")
+        assert "hadm.rover.compiler" in loaded
+        assert not loaded & {"hadm.loop", "hadm.strategies"}
+
+
+def hadm_modules_loaded_by(statement) -> set:
+    """The ``hadm`` modules a fresh interpreter holds after ``statement``."""
+    src = os.path.dirname(os.path.dirname(hadm.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])]
+    )
+    code = (
+        "import sys\n"
+        f"{statement}\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'hadm'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
+    )
+    return set(out.stdout.split())
+
 
 class TestValidation:
     def test_bad_parameters(self):
