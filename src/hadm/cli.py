@@ -85,10 +85,10 @@ def _require_rover(spec):
 
 
 def cmd_run(args) -> int:
+    overrides = _parse_overrides(args.set)  # needs no scenario
     spec = _load_spec(args.scenario)
     _require_rover(spec)
     compiled = compile_scenario(spec, max_states=args.max_states)
-    overrides = _parse_overrides(args.set)
     # Checked where ``compare`` checks it: after compile, before --set
     # is resolved against the scenario's variables.
     applicable_strategy(args.strategy, spec)
@@ -137,10 +137,10 @@ def cmd_compare(args) -> int:
                 raise InvalidConfigError(f"unknown strategy {name!r}")
     if args.rollouts < 1:
         raise InvalidConfigError("--rollouts must be at least 1")
+    overrides = _parse_overrides(args.set)
     spec = _load_spec(args.scenario)
     _require_rover(spec)
     compiled = compile_scenario(spec, max_states=args.max_states)
-    overrides = _parse_overrides(args.set)
     if names is None:
         names = applicable_strategies(spec)
 

@@ -18,6 +18,8 @@ from typing import IO
 from .errors import InvalidConfigError, ResourceLimitError, UnconstrainedSigmaError
 
 _TOL = 1e-9
+# Largest block of samples x steps that ``monte_carlo_eol`` draws at once.
+_BLOCK_CELLS = 2**16
 
 
 def _require_finite(record, *names):
@@ -217,26 +219,41 @@ def monte_carlo_eol(
     n_samples: int = 10**5,
     seed: int = 0,
 ):
-    """Seeded Monte Carlo estimate of the first-crossing distribution."""
+    """Seeded Monte Carlo estimate of the first-crossing distribution.
+
+    Samples are drawn and reduced in blocks of whole rows of at most
+    ``_BLOCK_CELLS`` samples x steps, in two buffers reused for every
+    block, so memory does not grow with ``n_samples``.  The generator
+    fills the rows in the same order as one ``n_samples x horizon``
+    draw, and each row goes through the same float operations, so the
+    result equals the whole-matrix estimate bit for bit.
+    """
+    if n_samples < 1:
+        raise InvalidConfigError(f"n_samples must be at least 1, got {n_samples}")
+    start = _starting_health(model, req, threshold)
     import numpy as np  # only this estimator needs it; loading it costs every command
 
     rng = np.random.default_rng(seed)
-    start = req.rho_p * model.s0
     h = req.horizon
-    losses = model.rate_nominal + model.epsilon * (
-        rng.random((n_samples, h)) < model.p_high
-    )
-    health = start - np.cumsum(losses, axis=1)
-    crossed = health <= threshold.h_min + _TOL
-    any_cross = crossed.any(axis=1)
-    first = np.where(any_cross, crossed.argmax(axis=1) + 1, 0)
-    dist = []
-    for k in range(1, h + 1):
-        c = int(np.count_nonzero(first == k))
-        if c:
-            dist.append((k, c / n_samples))
-    residual = float(np.count_nonzero(~any_cross)) / n_samples
-    return dist, residual
+    rows = max(1, min(n_samples, _BLOCK_CELLS // h))
+    x = np.empty((rows, h))  # draws, then losses, then health
+    c = np.empty((rows, h), dtype=bool)  # high steps, then crossings
+    counts = np.zeros(h + 1, dtype=np.int64)  # [0]: never crossed
+    for done in range(0, n_samples, rows):
+        r = min(rows, n_samples - done)
+        xb, cb = x[:r], c[:r]
+        rng.random(out=xb)
+        np.less(xb, model.p_high, out=cb)
+        np.multiply(model.epsilon, cb, out=xb)
+        np.add(model.rate_nominal, xb, out=xb)
+        np.cumsum(xb, axis=1, out=xb)
+        np.subtract(start, xb, out=xb)
+        np.less_equal(xb, threshold.h_min + _TOL, out=cb)
+        first = np.where(cb.any(axis=1), cb.argmax(axis=1) + 1, 0)
+        counts += np.bincount(first, minlength=h + 1)
+    alive, *crossed = counts.tolist()
+    dist = [(k, n / n_samples) for k, n in enumerate(crossed, 1) if n]
+    return dist, float(alive) / n_samples
 
 
 def closed_forms(

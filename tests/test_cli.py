@@ -411,13 +411,19 @@ class TestExitCodes:
          "--strategies ',' names no strategy"),
         (["compare", "--strategies", "nosuch", "--max-states", "5"],
          "unknown strategy 'nosuch'"),
+        (["run", "--max-states", "5", "--set", "bad"],
+         "--set expects var=value, got 'bad'"),
+        (["compare", "--max-states", "5", "--set", "bad"],
+         "--set expects var=value, got 'bad'"),
     ], ids=["inapplicable_first", "applicable_first", "run", "no_strategy",
-            "unknown_under_state_cap"])
+            "unknown_under_state_cap", "malformed_under_state_cap_run",
+            "malformed_under_state_cap_compare"])
     def test_bad_override_with_an_inapplicable_strategy(
         self, capsys, command, message
     ):
         """The first listed strategy decides which error is reported;
-        ``run`` checks its strategy before the overrides too."""
+        ``run`` checks its strategy before the overrides too.  A
+        malformed ``--set`` is reported before the scenario compiles."""
         assert run_cli(
             [*command, "--scenario", "builtin:3", "--set", "weather=sunny"]
         ) == 2

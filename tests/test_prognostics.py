@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +280,44 @@ class TestMonteCarlo:
             [(13, 0.01), (14, 0.065), (15, 0.125), (16, 0.22)],
             0.58,
         )
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        """Any draw from a generator fails the test."""
+        import numpy
+
+        def default_rng(seed):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(numpy.random, "default_rng", default_rng)
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_no_samples_is_config_error(self, no_draws, n_samples):
+        req = PrognosisRequest(rho_p=1.0, horizon=16)
+        with pytest.raises(InvalidConfigError, match="n_samples must be at least 1"):
+            monte_carlo_eol(MODEL, req, n_samples=n_samples)
+
+    @pytest.mark.parametrize("h_min", [1.0, 1.5])
+    def test_threshold_at_or_above_start_is_config_error(self, no_draws, h_min):
+        req = PrognosisRequest(rho_p=1.0, horizon=16)
+        with pytest.raises(InvalidConfigError, match="threshold must be below"):
+            monte_carlo_eol(MODEL, req, EventThreshold(h_min=h_min), n_samples=10)
+
+    def test_memory_is_one_block(self):
+        """Traced memory stays at one block of draws, whatever
+        ``n_samples`` is; one float64 matrix of all 20,000 x 1000 draws
+        would take 153 MiB."""
+        # Importing numpy's generators allocates; trace only the estimator.
+        import numpy.random  # noqa: F401
+
+        req = PrognosisRequest(rho_p=1.0, horizon=1000)
+        tracemalloc.start()
+        try:
+            monte_carlo_eol(MODEL, req, n_samples=20_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_command_line_import_leaves_numpy_unloaded(self):
         src = os.path.dirname(os.path.dirname(hadm.__file__))
