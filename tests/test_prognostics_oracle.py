@@ -3,9 +3,10 @@
 ``prognostics_reference.py`` holds ``monte_carlo_eol`` as it stood while
 it drew and reduced the whole ``n_samples x horizon`` matrix at once.
 The estimator now streams the samples through one block of whole rows.
-Over generated models (int and float parameters, ``p_high`` of 0, 1 and
-in between, no extra loss, thresholds above 0, prediction before full
-health) and sizes (horizons below and above the block's cell count,
+Over generated models (int and float parameters, powers of two that
+put health exactly on the threshold, ``p_high`` of 0, 1 and in between,
+no extra loss, thresholds above 0, prediction before full health) and
+sizes (horizons below and above the block's cell count,
 sample counts that do not fill the last block, a single sample), both
 must return the same distribution and residual, bit for bit.
 """
