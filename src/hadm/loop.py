@@ -58,10 +58,13 @@ def belief_summary(problem: Problem, belief: Belief):
     return [(problem.state_labels[s], round(p, 9)) for p, s in ranked[:3]]
 
 
-def observation_index(observation: Mapping) -> int:
-    """The observation-alphabet index carried by a plant's channels."""
+def observation_index(problem: Problem, observation: Mapping) -> int:
+    """The observation-alphabet index carried by a plant's channels; only
+    a fully observable problem falls back to the state index."""
     if "observation_index" in observation:
         return observation["observation_index"]
+    if problem.observations is not None:
+        raise ModelError("observation model set, but no observation_index")
     if "state_index" in observation:
         return observation["state_index"]
     raise InvalidConfigError(
@@ -332,7 +335,7 @@ def run_loop(
         summary = belief_summary(problem, b)
         obs, reward = plant.step(action)
         try:
-            b = belief_update(problem, b, action, observation_index(obs))
+            b = belief_update(problem, b, action, observation_index(problem, obs))
         except ImpossibleObservationError as exc:
             trace.aborted = str(exc)
             return trace

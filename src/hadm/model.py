@@ -34,16 +34,18 @@ MAX_OPEN_LOOP_LEAVES = 10**5
 Belief = Mapping[int, float]
 
 
-def _check_row(row, n, what):
+def _check_row(row, n, what, *args):
+    """Check a row over ``range(n)``; only an error formats ``what``."""
     total = 0.0
     for idx, p in row:
         if not (0 <= idx < n):
-            raise ModelError(f"{what}: index {idx} out of range")
+            raise ModelError(f"{what.format(*args)}: index {idx} out of range")
         if p < -PROB_TOL or p > 1 + PROB_TOL:
-            raise ModelError(f"{what}: probability {p} outside [0, 1]")
+            raise ModelError(f"{what.format(*args)}: probability {p} outside [0, 1]")
         total += p
     if abs(total - 1.0) > PROB_TOL:
-        raise ModelError(f"{what}: probabilities sum to {total}, expected 1")
+        raise ModelError(f"{what.format(*args)}: probabilities sum to {total}, "
+                         "expected 1")
 
 
 @dataclass(frozen=True)
@@ -88,26 +90,27 @@ class Problem:
             raise ModelError("gamma = 1 requires a bounded horizon")
         if not self.terminal <= set(range(n)):
             raise ModelError("terminal set is not a subset of the state space")
-        for s in range(n):
-            acts = self.admissible[s]
-            if s in self.terminal:
+        terminal, n_actions = self.terminal, len(self.action_labels)
+        row_of, reward_of = self.transitions.get, self.rewards.get
+        for s, acts in enumerate(self.admissible):
+            if s in terminal:
                 if len(acts) != 1:
                     raise ModelError(f"terminal state {s} must have exactly one action")
             elif len(acts) < 1:
                 raise ModelError(f"non-terminal state {s} has no admissible action")
             for a in acts:
-                if not (0 <= a < len(self.action_labels)):
+                if not (0 <= a < n_actions):
                     raise ModelError(f"action index {a} out of range at state {s}")
-                row = self.transitions.get((s, a))
+                row = row_of((s, a))
                 if row is None:
                     raise ModelError(f"missing transition row for ({s}, {a})")
-                _check_row(row, n, f"T({s},{a},.)")
-                if s in self.terminal and (len(row) != 1 or row[0][0] != s):
+                _check_row(row, n, "T({},{},.)", s, a)
+                if s in terminal and (len(row) != 1 or row[0][0] != s):
                     raise ModelError(f"terminal state {s} must self-loop")
-                r = self.rewards.get((s, a))
+                r = reward_of((s, a))
                 if r is None or not math.isfinite(r):
                     raise ModelError(f"reward undefined or non-finite for ({s}, {a})")
-                if s in self.terminal and (
+                if s in terminal and (
                     r != 0.0 or self.transition_rewards.get((s, a, s), 0.0) != 0.0
                 ):
                     raise ModelError(f"terminal state {s} must absorb with zero reward")
@@ -119,7 +122,7 @@ class Problem:
                 raise ModelError("observations given without an observation alphabet")
             n_obs = len(self.observation_labels)
             for key, row in self.observations.items():
-                _check_row(row, n_obs, f"O{key}")
+                _check_row(row, n_obs, "O{}", key)
 
     @property
     def n_states(self):

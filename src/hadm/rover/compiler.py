@@ -49,8 +49,8 @@ class RoverState(NamedTuple):
 
     ``science`` holds one status per declared activity and ``terrain``
     one class (None until revealed) per declared region, both in the
-    spec's declaration order; ``label`` and ``_channels`` take their ids
-    from the spec.
+    spec's declaration order; ``_Compiler.label`` and ``_channels`` take
+    their ids from the spec.
     """
 
     position: str
@@ -60,18 +60,6 @@ class RoverState(NamedTuple):
     science: tuple = ()  # "todo" | "redo" | "done", per activity
     terrain: tuple = ()  # class or None, per region
     status: str = OK
-
-    def label(self, spec: ScenarioSpec) -> str:
-        parts = [self.position, f"t={_round(self.time_h)}"]
-        if self.battery_wh is not None:
-            parts.append(f"b={_round(self.battery_wh)}")
-        if self.temp_c is not None:
-            parts.append(f"T={_round(self.temp_c)}")
-        parts += [f"{a.id}={st}" for a, st in zip(spec.activities, self.science)]
-        parts += [f"{r.id}={c or '?'}" for r, c in zip(spec.regions, self.terrain)]
-        if self.status != OK:
-            parts.append(self.status)
-        return "|".join(parts)
 
 
 class _Branch(NamedTuple):
@@ -214,8 +202,13 @@ class _Compiler:
             self.actions.append(
                 (f"cool:{_round(spec.actions.cool_grid_h)}h", self._cool, None)
             )
-        self.stay = len(self.actions)
-        self.actions.append(("stay", self._stay, None))
+        self.stay = len(self.actions)  # no effect: compile records its rows
+        self.actions.append(("stay", None, None))
+        # Label parts: "|id=" per activity, "|id=class" per region and class.
+        self.science_keys = tuple(f"|{a.id}=" for a in spec.activities)
+        self.terrain_parts = tuple(
+            {c: f"|{r.id}={c or '?'}" for c in (None, *r.classes)}
+            for r in spec.regions)
 
     def initial_state(self) -> RoverState:
         spec = self.spec
@@ -228,20 +221,31 @@ class _Compiler:
             terrain=(None,) * len(spec.regions),
         )
 
+    def label(self, st: RoverState) -> str:
+        """The state's label: its components, rounded, joined by "|"."""
+        out = f"{st.position}|t={_round(st.time_h)}"
+        if st.battery_wh is not None:
+            out += f"|b={_round(st.battery_wh)}"
+        if st.temp_c is not None:
+            out += f"|T={_round(st.temp_c)}"
+        out += "".join(map(str.__add__, self.science_keys, st.science))
+        out += "".join(map(dict.__getitem__, self.terrain_parts, st.terrain))
+        return out if st.status == OK else f"{out}|{st.status}"
+
     def finalize(self, st: RoverState) -> RoverState:
         """Classify a fresh state: completion, deadline, or a dead end."""
         if st.status != OK:
             return st
         m = self.spec.mission
-        done = all(st.science[i] == "done" for i in self.required)
-        if st.position == m.goal and done:
+        if st.position == m.goal and all(
+                st.science[i] == "done" for i in self.required):
             if m.deadline_h is None or st.time_h <= m.deadline_h + _TOL:
-                return st._replace(status=COMPLETE)
+                return RoverState(*st[:-1], COMPLETE)
         if m.deadline_h is not None and st.time_h >= m.deadline_h - _TOL:
-            return st._replace(status=DEADLINE_MISSED)
+            return RoverState(*st[:-1], DEADLINE_MISSED)
         # A dead end with the mission incomplete absorbs as "stuck".
         if not self.admissible_actions(st):
-            return st._replace(status=STUCK)
+            return RoverState(*st[:-1], STUCK)
         return st
 
     def terminal_value(self, st: RoverState) -> float:
@@ -270,8 +274,7 @@ class _Compiler:
     # Action expansion ----------------------------------------------------
 
     def admissible_actions(self, st: RoverState):
-        if st.status != OK:
-            return [self.stay]
+        """The actions of an ``ok`` state, in action order."""
         out = list(self.drives[st.position])
         out += [a for a, i in self.sciences[st.position] if st.science[i] != "done"]
         if self.charge is not None and self._charge_hours(st) is not None:
@@ -280,10 +283,12 @@ class _Compiler:
             out.append(self.cool)
         return out
 
-    def _step(self, st, hours, watts, energy_wh=None, motor=None, **changes):
-        """``st`` after an action of ``hours`` that draws ``watts``, with
-        ``changes`` applied: the one place where time, battery and motor
-        temperature advance.
+    def _step(self, st, hours, watts, energy_wh=None, motor=None,
+              position=None, science=None, terrain=None):
+        """``st`` after an action of ``hours`` that draws ``watts``, moved to
+        ``position`` and with ``science`` and ``terrain`` where they are
+        given: the one place where time, battery and motor temperature
+        advance.
 
         The battery pays ``energy_wh`` when it is given, is integrated
         over the sunlit and dark parts of the action under a ``power``
@@ -329,8 +334,9 @@ class _Compiler:
             else:
                 temp = max(th.nominal_c, float(temp) - th.cool_rate_c_per_h * hours)
             temp = _round(temp)
-        return st._replace(time_h=_round(st.time_h + hours), battery_wh=b,
-                           temp_c=temp, status=status, **changes)
+        return RoverState(st.position if position is None else position,
+                          _round(st.time_h + hours), b, temp, science or st.science,
+                          terrain or st.terrain, status)
 
     def _charge_hours(self, st):
         """Hours to charge to full from ``st``; None where charging is not
@@ -347,9 +353,6 @@ class _Compiler:
         if spec.power is None or st.time_h + hours <= spec.power.sunlight_until_h:
             return hours
         return None
-
-    def _stay(self, st):
-        return [_Branch(st, 1.0)]
 
     def _drive(self, seg, region, watts, st):
         """One branch per terrain class the drive may reveal."""
@@ -385,17 +388,17 @@ class _Compiler:
         if st.science[i] == "redo" or act.redo_prob <= 0.0:
             return [_Branch(done, 1.0)]
         rv = f"redo:{act.id}"
-        redo = done._replace(science=before + ("redo",) + after)
+        redo = RoverState(done.position, done.time_h, done.battery_wh, done.temp_c,
+                          before + ("redo",) + after, done.terrain, done.status)
         return [
             _Branch(done, 1.0 - act.redo_prob, (rv, "false")),
             _Branch(redo, act.redo_prob, (rv, "true")),
         ]
 
     def _charge(self, st):
-        nxt = st._replace(
-            time_h=_round(st.time_h + self._charge_hours(st)),
-            battery_wh=self.spec.battery.capacity_wh,
-        )
+        nxt = RoverState(st.position, _round(st.time_h + self._charge_hours(st)),
+                         self.spec.battery.capacity_wh, st.temp_c, st.science,
+                         st.terrain)
         return [_Branch(nxt, 1.0)]
 
     def _cool(self, st):
@@ -473,7 +476,9 @@ def _check_channels(spec: ScenarioSpec, channels: Mapping):
 def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledScenario:
     """Compile a scenario into a validated Problem by forward reachability,
     expanding states in index order; ``rv_defs`` takes each variable's
-    distribution from its first stochastic row."""
+    distribution from its first stochastic row.  An absorbing state (any
+    status but ``ok``) is not expanded: its one action ``stay`` self-loops
+    with no reward, and no outcome."""
     if max_states < 1:
         raise InvalidConfigError(f"max_states must be at least 1, got {max_states}")
     comp = _Compiler(spec)
@@ -488,30 +493,35 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
     transition_rewards = {}
     outcomes = {}
     terminal = set()
+    stay = (comp.stay,)
+    effects = [effect for _, effect, _ in comp.actions]
+    finalize, step_energy = comp.finalize, spec.reward.step_energy
 
     for s, st in enumerate(states):  # grows while it is walked
+        if st.status != OK:
+            admissible.append(stay)
+            transitions[(s, comp.stay)] = ((s, 1.0),)
+            terminal.add(s)
+            continue
         acts = tuple(comp.admissible_actions(st))
         admissible.append(acts)
-        if st.status != OK:
-            terminal.add(s)
         for a in acts:
-            branches = comp.actions[a][1](st)
+            branches = effects[a](st)
             rows = []
             for br in branches:
-                nxt = comp.finalize(br.state)
-                s2 = index.get(nxt)
-                if s2 is None:
-                    if len(states) >= max_states:
+                nxt = finalize(br.state)
+                s2 = index.setdefault(nxt, len(states))
+                if s2 == len(states):
+                    if s2 >= max_states:
                         raise ResourceLimitError(
                             f"compiled state count exceeded {max_states} "
-                            f"(growing dimension near {nxt.label(spec)!r})"
+                            f"(growing dimension near {comp.label(nxt)!r})"
                         )
-                    s2 = index[nxt] = len(states)
                     states.append(nxt)
                 rho = 0.0
-                if spec.reward.step_energy:
+                if step_energy:
                     rho -= br.energy_wh
-                if nxt.status != OK and st.status == OK:
+                if nxt.status != OK:
                     rho += comp.terminal_value(nxt)
                 if rho != 0.0:
                     transition_rewards[(s, a, s2)] = rho
@@ -527,7 +537,7 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
         if rv not in rv_defs:
             rv_defs[rv] = {v: p for v, (_, p) in zip(values, transitions[key])}
     problem = Problem(
-        state_labels=tuple(st.label(spec) for st in states),
+        state_labels=tuple(map(comp.label, states)),
         action_labels=tuple(label for label, _, _ in comp.actions),
         admissible=tuple(admissible),
         transitions=transitions,

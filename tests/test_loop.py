@@ -424,6 +424,44 @@ class TestRunLoop:
         assert seen
         assert all(belief == {state: 1.0} for belief, state in seen)
 
+    @pytest.mark.parametrize("channel", ["state_index", "observation_index"])
+    def test_a_pomdp_reads_only_observation_indices(self, channel):
+        """A problem with an observation model never reads a plant's
+        ``state_index`` as an observation.  State 1 may emit either
+        observation, so its index would pass silently as "light"."""
+        problem = Problem(
+            state_labels=("start", "end"),
+            action_labels=("go", "stay"),
+            admissible=((0,), (1,)),
+            transitions={(0, 0): ((1, 1.0),), (1, 1): ((1, 1.0),)},
+            rewards={(0, 0): -1.0, (1, 1): 0.0},
+            terminal=frozenset({1}),
+            horizon=2,
+            observation_labels=("dark", "light"),
+            observations={(1, 0): ((0, 0.5), (1, 0.5))},
+        )
+
+        class Plant:
+            state = 0
+
+            def observe(self):
+                return {channel: 0}
+
+            def step(self, action):
+                self.state = 1
+                return {channel: 0 if channel == "observation_index" else 1}, -1.0
+
+        class Go:
+            def decide(self, problem, belief, observation, step):
+                return 0
+
+        if channel == "state_index":
+            with pytest.raises(ModelError, match="no observation_index"):
+                run_loop(Plant(), problem, Go())
+        else:
+            trace = run_loop(Plant(), problem, Go())
+            assert trace.terminal and trace.total == -1.0
+
     def test_step_cap_truncates(self, hill):
         class Idler:
             def decide(self, problem, belief, observation, step):

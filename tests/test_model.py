@@ -241,6 +241,42 @@ class TestProblemValidation:
                 transition_rewards={(0, 0, 1): rho},
             )
 
+    @pytest.mark.parametrize("change, message", [
+        ({"transitions": {(0, 0): ((2, 1.0),), (1, 0): ((1, 1.0),)}},
+         "T(0,0,.): index 2 out of range"),
+        ({"transitions": {(0, 0): ((1, 1.5), (0, -0.5)), (1, 0): ((1, 1.0),)}},
+         "T(0,0,.): probability 1.5 outside [0, 1]"),
+        ({"transitions": {(0, 0): ((1, 1.0),), (1, 0): ((1, 0.5), (0, 0.25))}},
+         "T(1,0,.): probabilities sum to 0.75, expected 1"),
+        ({"observations": {(1, 0): ((3, 1.0),)}},
+         "O(1, 0): index 3 out of range"),
+        ({"observations": {(1, 0): ((0, -0.5), (1, 1.5))}},
+         "O(1, 0): probability -0.5 outside [0, 1]"),
+        ({"observations": {(0, 0): ((0, 1.0),), (1, 0): ((0, 0.5),)}},
+         "O(1, 0): probabilities sum to 0.5, expected 1"),
+        ({"transitions": {(1, 0): ((1, 1.0),)}},
+         "missing transition row for (0, 0)"),
+        ({"terminal": frozenset({1}),
+          "transitions": {(0, 0): ((1, 1.0),), (1, 0): ((0, 1.0),)}},
+         "terminal state 1 must self-loop"),
+    ], ids=["T-index", "T-probability", "T-sum", "O-index", "O-probability",
+            "O-sum", "missing-row", "terminal-self-loop"])
+    def test_row_check_messages(self, change, message):
+        """Each row check raises with its exact message."""
+        fields = dict(
+            state_labels=("a", "b"),
+            action_labels=("x",),
+            admissible=((0,), (0,)),
+            transitions={(0, 0): ((1, 1.0),), (1, 0): ((1, 1.0),)},
+            rewards={(0, 0): 0.0, (1, 0): 0.0},
+            horizon=1,
+            observation_labels=("o0", "o1"),
+            observations={(1, 0): ((0, 1.0),)},
+        )
+        with pytest.raises(ModelError) as err:
+            Problem(**{**fields, **change})
+        assert str(err.value) == message
+
     def test_inadmissible_action_raises(self):
         p = chain_problem()
         with pytest.raises(InadmissibleActionError):

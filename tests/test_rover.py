@@ -273,6 +273,16 @@ class TestCompilation:
         with pytest.raises(ResourceLimitError):
             compile_scenario(builtin_scenario(4), max_states=10)
 
+    def test_state_cap_names_the_state_it_could_not_add(self):
+        """The cap's message labels the first state past it as
+        ``state_labels`` would."""
+        with pytest.raises(ResourceLimitError) as err:
+            compile_scenario(builtin_scenario(4), max_states=100)
+        assert str(err.value) == (
+            "compiled state count exceeded 100 "
+            "(growing dimension near 'h4|t=8.0|T=60|sci2=todo')"
+        )
+
     def test_prognostics_scenario_does_not_compile(self):
         with pytest.raises(InvalidConfigError):
             compile_scenario(builtin_scenario(1))
