@@ -19,7 +19,13 @@ import math
 import statistics
 import sys
 
-from .errors import HadmError, InvalidConfigError, ResourceLimitError, UnconstrainedSigmaError
+from .errors import (
+    HadmError,
+    InvalidConfigError,
+    ModelError,
+    ResourceLimitError,
+    UnconstrainedSigmaError,
+)
 from .loop import run_loop
 from .model import extract_policy, value_iterate
 from .prognostics import (
@@ -160,11 +166,19 @@ def cmd_compare(args) -> int:
         totals = [episode_total(compiled, name, args.seed + i, truth)
                   for i, truth in enumerate(truths)]
         mean = sum(totals) / len(totals)
-        se = (
-            statistics.stdev(totals) / math.sqrt(len(totals))
-            if len(totals) > 1
-            else 0.0
-        )
+        try:
+            se = (
+                statistics.stdev(totals) / math.sqrt(len(totals))
+                if len(totals) > 1
+                else 0.0
+            )
+        except OverflowError:  # each total is finite, their spread is not
+            se = math.inf
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise ModelError(
+                f"reward overflow: strategy {name!r} has mean {mean!r} and "
+                f"standard error {se!r} over {len(totals)} rollouts"
+            )
         rows.append((name, analytic, mean, se))
 
     energy = spec.reward.step_energy

@@ -312,6 +312,7 @@ def run_loop(
     its terminal mass reaches ``TERMINAL_BELIEF``.  An
     impossible observation aborts with the diagnostic recorded on the
     trace; a provider returning None (and no safety override) truncates.
+    A running total past the float range raises ``ModelError``.
     """
     b = point_mass(problem.n_states, plant.state) if b0 is None else b0
     if not all(0 <= s < problem.n_states for s in b):
@@ -340,6 +341,11 @@ def run_loop(
             trace.aborted = str(exc)
             return trace
         trace.total += reward
+        if not math.isfinite(trace.total):
+            raise ModelError(
+                f"reward overflow: the total after step {step} is "
+                f"{trace.total!r}, past the float range"
+            )
         trace.records.append(
             LoopRecord(
                 step=step,

@@ -7,9 +7,9 @@ open-loop vs. closed-loop evaluation of fixed behaviors.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import IO, Mapping, Sequence
 
 from .errors import (
@@ -28,6 +28,8 @@ MAX_STAGE_ENTRIES = 2 * 10**6
 # Most scenarios (leaves of the behavior tree) ``open_loop_expectation``
 # may enumerate.
 MAX_OPEN_LOOP_LEAVES = 10**5
+# Rows a table export joins into one write.
+_BLOCK_ROWS = 512
 
 # A belief maps each state index in its support to its probability;
 # states it leaves out have probability 0.
@@ -139,6 +141,26 @@ class Problem:
             )
 
 
+def _csv_field(x) -> str:
+    """``x`` as ``csv.writer`` writes it in the excel dialect: ``None`` as
+    "", any other non-string as ``str(x)``, and quoted, with each ``"``
+    doubled, exactly when it holds a comma, a quote, CR or LF."""
+    if not isinstance(x, str):
+        x = "" if x is None else str(x)
+    if "," in x or '"' in x or "\r" in x or "\n" in x:
+        return '"' + x.replace('"', '""') + '"'
+    return x
+
+
+def _write_pairs(fh: IO, header, rows):
+    """Write ``header`` and then ``rows``, pairs of fields, byte for byte
+    as ``csv.writer`` would, with one write per ``_BLOCK_ROWS`` rows."""
+    rows = chain((header,), rows)
+    while block := [f"{_csv_field(a)},{_csv_field(b)}\r\n"
+                    for a, b in islice(rows, _BLOCK_ROWS)]:
+        fh.write("".join(block))
+
+
 @dataclass
 class ValueTable:
     """State utilities plus solver metadata."""
@@ -152,10 +174,9 @@ class ValueTable:
         return self.values[s]
 
     def write_csv(self, problem: Problem, fh: IO):
-        writer = csv.writer(fh)
-        writer.writerow(["state", "value"])
-        for s in sorted(self.values):
-            writer.writerow([problem.state_labels[s], repr(self.values[s])])
+        labels, values = problem.state_labels, self.values
+        _write_pairs(fh, ("state", "value"),
+                     ((labels[s], repr(values[s])) for s in sorted(values)))
 
 
 @dataclass
@@ -169,12 +190,10 @@ class Policy:
         return self.actions[s]
 
     def write_csv(self, problem: Problem, fh: IO):
-        writer = csv.writer(fh)
-        writer.writerow(["state", "action"])
-        for s in sorted(self.actions):
-            writer.writerow(
-                [problem.state_labels[s], problem.action_labels[self.actions[s]]]
-            )
+        labels, names, actions = (problem.state_labels, problem.action_labels,
+                                  self.actions)
+        _write_pairs(fh, ("state", "action"),
+                     ((labels[s], names[actions[s]]) for s in sorted(actions)))
 
 
 Plan = Sequence
@@ -392,6 +411,9 @@ def value_iterate(
     state then already holds its value after H+1 sweeps, bit for bit.
     That table reports ``iterations=1``, ``residual=0.0`` and an empty
     ``residual_history``.
+
+    A table holding a value that is not finite raises ``ModelError``:
+    rewards are finite, so only a sum past the float range makes one.
     """
     if horizon is None and epsilon is None:
         if problem.horizon is not None:
@@ -409,8 +431,8 @@ def value_iterate(
 
     if horizon is not None and not return_stages:
         try:
-            return ValueTable(_backward_pass(problem, horizon), iterations=1,
-                              residual=0.0)
+            return ValueTable(_finite(problem, _backward_pass(problem, horizon)),
+                              iterations=1, residual=0.0)
         except _NoBackwardPass:
             pass
 
@@ -432,9 +454,22 @@ def value_iterate(
             break  # exact fixed point; further sweeps are identity
         if horizon is None and len(history) > 10**6:
             raise InvalidConfigError("value iteration failed to converge")
+    for stage in stages if return_stages else [u]:
+        _finite(problem, stage)
     table = ValueTable(u, iterations=len(history), residual=residual,
                        residual_history=history)
     return (table, stages) if return_stages else table
+
+
+def _finite(problem: Problem, u: dict) -> dict:
+    """``u``, unless some value in it overflowed the float range."""
+    if not all(map(math.isfinite, u.values())):
+        s = next(s for s, v in u.items() if not math.isfinite(v))
+        raise ModelError(
+            f"value overflow: state {problem.state_labels[s]!r} is worth "
+            f"{u[s]!r}, as its rewards sum past the float range"
+        )
+    return u
 
 
 def extract_policy(problem: Problem, u) -> Policy:

@@ -477,6 +477,80 @@ class TestExitCodes:
         assert "'mark_faulty' was unexpected" in err
 
 
+def left_only(tmp_path, l1, l2) -> str:
+    """A file holding builtin:2 without its battery, routes and right
+    region: ``L1`` and ``L2`` over ``left``, with the energies given."""
+    from hadm.rover import builtin_scenario_dict
+
+    doc = builtin_scenario_dict(2)
+    del doc["battery"], doc["routes"], doc["override_aliases"]
+    doc["regions"] = [r for r in doc["regions"] if r["id"] == "left"]
+    doc["segments"] = [s for s in doc["segments"] if s["id"] in ("L1", "L2")]
+    doc["segments"][0]["energy_wh"] = l1
+    doc["segments"][1]["energy_wh"] = l2
+    scenario = tmp_path / "left.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    return str(scenario)
+
+
+class TestRewardOverflow:
+    """Finite energies whose sums leave the float range exit 4."""
+
+    HUGE = {"difficult": -1.7e308, "moderate": 1.7e308}
+
+    def overflow(self, capsys, argv):
+        assert run_cli(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflow" in err
+        return err
+
+    def test_solve(self, tmp_path, capsys):
+        path = left_only(tmp_path, self.HUGE, self.HUGE)
+        value_out = tmp_path / "value.csv"
+        err = self.overflow(capsys, [
+            "solve", "--scenario", path, "--value-out", str(value_out)])
+        assert "value overflow: state 'wp0|t=0.0|left=?' is worth nan" in err
+        assert not value_out.exists()
+
+    @pytest.mark.parametrize("strategy", ["hadm", "fixed-plan", "shm-baseline"])
+    def test_run(self, tmp_path, capsys, strategy):
+        path = left_only(tmp_path, self.HUGE, self.HUGE)
+        out = tmp_path / "run.jsonl"
+        err = self.overflow(capsys, [
+            "run", "--scenario", path, "--strategy", strategy,
+            "--format", "jsonl", "--out", str(out)])
+        if strategy == "hadm":
+            assert "value overflow" in err
+        else:
+            assert "reward overflow: the total after step 1 is -inf" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--strategies", "fixed-plan"]])
+    def test_compare(self, tmp_path, capsys, extra):
+        path = left_only(tmp_path, self.HUGE, self.HUGE)
+        self.overflow(capsys, [
+            "compare", "--scenario", path, "--rollouts", "10", *extra])
+
+    def test_compare_mean(self, tmp_path, capsys):
+        """Every total is finite, but their sum is not."""
+        path = left_only(tmp_path, {"difficult": 1.7e308, "moderate": 1.7e308},
+                         {"difficult": 0, "moderate": 0})
+        assert run_cli(["compare", "--scenario", path, "--rollouts", "1"]) == 0
+        capsys.readouterr()
+        err = self.overflow(capsys, [
+            "compare", "--scenario", path, "--rollouts", "2"])
+        assert "strategy 'hadm' has mean -inf and standard error 0.0" in err
+
+    def test_compare_standard_error(self, tmp_path, capsys):
+        """The totals and their mean are finite, but their spread is not."""
+        path = left_only(tmp_path, {"difficult": -1.5e308, "moderate": 1.5e308},
+                         {"difficult": 0, "moderate": 0})
+        err = self.overflow(capsys, [
+            "compare", "--scenario", path, "--strategies", "fixed-plan",
+            "--rollouts", "2"])
+        assert "has mean 0.0 and standard error inf over 2 rollouts" in err
+
+
 def write_degradation(tmp_path, **degradation):
     path = tmp_path / "degradation.json"
     doc = {"name": "degradation", "kind": "prognostics", "degradation": degradation}

@@ -1,0 +1,162 @@
+"""``solve``'s table exports: byte for byte what ``csv.writer`` writes."""
+import csv
+import io
+import json
+import sys
+import tracemalloc
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hadm.cli import main
+from hadm.model import Policy, Problem, ValueTable, extract_policy, value_iterate
+from hadm.rover.compiler import compile_scenario
+from hadm.rover.spec import load_scenario_file
+
+
+def absorbing_problem(state_labels, action_labels=("stay",)) -> Problem:
+    """Every state terminal, its one action 0 a zero-reward self-loop."""
+    n = len(state_labels)
+    return Problem(
+        state_labels=tuple(state_labels),
+        action_labels=tuple(action_labels),
+        admissible=((0,),) * n,
+        transitions={(s, 0): ((s, 1.0),) for s in range(n)},
+        rewards=dict.fromkeys(((s, 0) for s in range(n)), 0.0),
+        terminal=frozenset(range(n)),
+        horizon=0,
+    )
+
+
+def written(export, problem) -> str:
+    buf = io.StringIO(newline="")
+    export.write_csv(problem, buf)
+    return buf.getvalue()
+
+
+def csv_writer_text(rows) -> str:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def expected_exports(problem, values, actions):
+    labels, names = problem.state_labels, problem.action_labels
+    value_rows = [("state", "value")] + [
+        (labels[s], repr(values[s])) for s in sorted(values)]
+    policy_rows = [("state", "action")] + [
+        (labels[s], names[actions[s]]) for s in sorted(actions)]
+    return csv_writer_text(value_rows), csv_writer_text(policy_rows)
+
+
+# Characters the excel dialect treats specially, and a few that it does not.
+_SPECIAL = st.sampled_from([",", '"', "\r", "\n", "\r\n", "\x00", "é", "雪", " ", ""])
+_LABELS = st.lists(st.one_of(st.text(), _SPECIAL), min_size=1, max_size=8)
+
+
+class TestWriterEqualsCsvWriter:
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(_LABELS, st.lists(st.one_of(st.text(), _SPECIAL), min_size=1, max_size=4),
+           st.data())
+    def test_any_labels(self, state_labels, action_labels, data):
+        if sys.version_info < (3, 11):
+            # Python 3.10's csv cannot write NUL; test_nul_is_written_verbatim
+            # pins what 3.11's csv writes.
+            assume(not any("\x00" in x for x in state_labels + action_labels))
+        problem = absorbing_problem(state_labels, action_labels)
+        n = problem.n_states
+        states = data.draw(st.sets(st.integers(0, n - 1)))
+        values = {s: data.draw(st.floats()) for s in states}
+        actions = {s: data.draw(st.integers(0, len(action_labels) - 1))
+                   for s in states}
+        want_values, want_policy = expected_exports(problem, values, actions)
+        assert written(ValueTable(values), problem) == want_values
+        assert written(Policy(actions), problem) == want_policy
+
+    def test_none_and_non_string_labels(self):
+        problem = absorbing_problem(
+            [None, 7, 2.5, ("a", "b,c"), True], [None, 3, "x,y"])
+        values = {0: 1.0, 1: -0.0, 2: float("inf"), 3: float("nan"), 4: 1e-310}
+        actions = {0: 0, 1: 1, 2: 2, 3: 0, 4: 1}
+        want_values, want_policy = expected_exports(problem, values, actions)
+        assert written(ValueTable(values), problem) == want_values
+        assert written(Policy(actions), problem) == want_policy
+        assert want_policy.splitlines()[1:5] == [
+            ",", "7,3", '2.5,"x,y"', "\"('a', 'b,c')\","]
+
+    def test_nul_is_written_verbatim(self):
+        problem = absorbing_problem(["a\x00b", "\x00,"], ["\x00"])
+        assert written(ValueTable({0: 1.0, 1: 2.0}), problem) == (
+            'state,value\r\na\x00b,1.0\r\n"\x00,",2.0\r\n')
+        assert written(Policy({0: 0, 1: 0}), problem) == (
+            'state,action\r\na\x00b,\x00\r\n"\x00,",\x00\r\n')
+
+    def test_more_rows_than_one_block(self):
+        labels = [f"s{i}" + "," * (i % 3) + '"' * (i % 2) for i in range(1500)]
+        problem = absorbing_problem(labels)
+        values = {s: s / 7 for s in range(1500)}
+        actions = dict.fromkeys(range(1500), 0)
+        want_values, want_policy = expected_exports(problem, values, actions)
+        assert written(ValueTable(values), problem) == want_values
+        assert written(Policy(actions), problem) == want_policy
+
+
+class _Discard:
+    """A text sink that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_memory_is_one_block():
+    """Traced memory holds the sorted state list and one block of rows,
+    not the file: 10^5 rows of this table come to about 4.8 MB."""
+    n = 10**5
+    problem = absorbing_problem([f"state-{s}|t={s}.0|status=ok" for s in range(n)])
+    table = ValueTable({s: s / 3 for s in range(n)})
+    tracemalloc.start()
+    try:
+        table.write_csv(problem, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+ODD_IDS = {
+    "name": "odd ids",
+    "kind": "rover",
+    "waypoints": [{"id": 'a,"0'}, {"id": "b\n1"}, {"id": 'c"\r\n2'}],
+    "regions": [{"id": 'r,"\n', "classes": {"x,y": 0.5, 'q"z\n': 0.5}}],
+    "segments": [
+        {"id": 'S,1"', "from": 'a,"0', "to": "b\n1", "region": 'r,"\n'},
+        {"id": 'T"2\n', "from": "b\n1", "to": 'c"\r\n2', "terrain": "easy"},
+    ],
+    "mission": {"start": 'a,"0', "goal": 'c"\r\n2'},
+}
+
+
+def test_solve_exports_read_back_as_the_labels(tmp_path, capsys):
+    scenario = tmp_path / "odd.json"
+    scenario.write_text(json.dumps(ODD_IDS), encoding="utf-8")
+    value_out, policy_out = tmp_path / "value.csv", tmp_path / "policy.csv"
+    assert main(["solve", "--scenario", str(scenario),
+                 "--value-out", str(value_out),
+                 "--policy-out", str(policy_out)]) == 0
+    problem = compile_scenario(load_scenario_file(str(scenario))).problem
+    table = value_iterate(problem)
+    chosen = extract_policy(problem, table)
+
+    def read(path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+
+    labels = problem.state_labels
+    assert read(value_out) == [["state", "value"]] + [
+        [labels[s], repr(table[s])] for s in range(problem.n_states)]
+    assert read(policy_out) == [["state", "action"]] + [
+        [labels[s], problem.action_labels[chosen[s]]]
+        for s in range(problem.n_states)]
+    assert any("\r\n" in label for label in labels)
+    assert {'drive:S,1"', 'drive:T"2\n'} <= {
+        problem.action_labels[chosen[s]] for s in range(problem.n_states)}
