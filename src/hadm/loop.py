@@ -217,7 +217,7 @@ def validate_ser(problem: Problem, ser: SerPolicy) -> SerReport:
             return None
         path[s] = None
         worst = 0
-        for s2, p in problem.transitions[(s, a)]:
+        for s2, p, _ in problem.transitions[(s, a)]:
             if p > 0.0:
                 d = yield steps(s2)
                 if d is None:

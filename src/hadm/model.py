@@ -36,10 +36,15 @@ _BLOCK_ROWS = 512
 Belief = Mapping[int, float]
 
 
-def _check_row(row, n, what, *args):
-    """Check a row over ``range(n)``; only an error formats ``what``."""
-    total = 0.0
-    for idx, p in row:
+def _check_row(row, n, fields, what, *args):
+    """Check a row over ``range(n)`` whose entries hold ``fields``, an
+    index and its probability first; only an error formats ``what``."""
+    total, width = 0.0, len(fields)
+    for entry in row:
+        if len(entry) != width:
+            raise ModelError(f"{what.format(*args)}: entry {entry!r} is not "
+                             f"({', '.join(fields)})")
+        idx, p = entry[0], entry[1]
         if not (0 <= idx < n):
             raise ModelError(f"{what.format(*args)}: index {idx} out of range")
         if p < -PROB_TOL or p > 1 + PROB_TOL:
@@ -50,18 +55,24 @@ def _check_row(row, n, what, *args):
                          "expected 1")
 
 
+def _check_horizon(horizon, name, error=InvalidConfigError):
+    """Raise ``error`` unless ``horizon`` is a non-negative int, not a bool."""
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 0:
+        raise error(f"{name} must be a non-negative integer, got {horizon!r}")
+
+
 @dataclass(frozen=True)
 class Problem:
     """A finite decision problem.
 
-    ``rewards`` maps admissible (state, action) pairs to immediate reward.
-    ``transition_rewards`` optionally adds a successor-dependent term,
-    received (and discounted) on arrival; it is how scenario compilers
-    attach branch-dependent energy costs and terminal bonuses.
-    Terminal states absorb: their one action self-loops with zero reward
-    and zero arrival reward, so every solver values them at 0.  A
-    ``horizon`` of H means H+1 actions, so its value is H+1 backups from
-    the all-zero table.
+    ``transitions`` maps each admissible (state, action) pair to one
+    (s', p, r) triple per branch: ``a`` in ``s`` moves to ``s'`` with
+    probability ``p`` and earns ``r``.  An action reward ``R(s, a)`` and
+    an arrival reward ``rho(s, a, s')`` make ``r = R + gamma * rho``.
+    Terminal states absorb: their one action self-loops with zero reward,
+    so every solver values them at 0.  A ``horizon`` of H (None or a
+    non-negative int) means H+1 actions, so its value is H+1 backups
+    from the all-zero table.
     Observation rows are keyed by (successor, action); with
     ``observations=None`` the problem is fully observable and the
     observation index names the successor state.  Instances are
@@ -71,12 +82,10 @@ class Problem:
     state_labels: tuple
     action_labels: tuple
     admissible: tuple  # per state: tuple of action indices
-    transitions: Mapping  # (s, a) -> ((s', p), ...)
-    rewards: Mapping  # (s, a) -> float
+    transitions: Mapping  # (s, a) -> ((s', p, r), ...)
     terminal: frozenset = frozenset()
     gamma: float = 1.0
     horizon: int = None
-    transition_rewards: Mapping = field(default_factory=dict)
     observation_labels: tuple = None
     observations: Mapping = None  # (s', a) -> ((o, p), ...)
 
@@ -88,12 +97,14 @@ class Problem:
             raise ModelError("admissible action list length != state count")
         if not (0.0 <= self.gamma <= 1.0):
             raise ModelError(f"gamma {self.gamma} outside [0, 1]")
+        if self.horizon is not None:
+            _check_horizon(self.horizon, "horizon", ModelError)
         if self.gamma == 1.0 and self.horizon is None:
             raise ModelError("gamma = 1 requires a bounded horizon")
         if not self.terminal <= set(range(n)):
             raise ModelError("terminal set is not a subset of the state space")
         terminal, n_actions = self.terminal, len(self.action_labels)
-        row_of, reward_of = self.transitions.get, self.rewards.get
+        row_of = self.transitions.get
         for s, acts in enumerate(self.admissible):
             if s in terminal:
                 if len(acts) != 1:
@@ -106,25 +117,20 @@ class Problem:
                 row = row_of((s, a))
                 if row is None:
                     raise ModelError(f"missing transition row for ({s}, {a})")
-                _check_row(row, n, "T({},{},.)", s, a)
+                _check_row(row, n, ("s'", "p", "r"), "T({},{},.)", s, a)
+                for s2, _, r in row:
+                    if not math.isfinite(r):
+                        raise ModelError(f"reward non-finite for ({s}, {a}, {s2})")
                 if s in terminal and (len(row) != 1 or row[0][0] != s):
                     raise ModelError(f"terminal state {s} must self-loop")
-                r = reward_of((s, a))
-                if r is None or not math.isfinite(r):
-                    raise ModelError(f"reward undefined or non-finite for ({s}, {a})")
-                if s in terminal and (
-                    r != 0.0 or self.transition_rewards.get((s, a, s), 0.0) != 0.0
-                ):
+                if s in terminal and row[0][2] != 0.0:
                     raise ModelError(f"terminal state {s} must absorb with zero reward")
-        for key, rho in self.transition_rewards.items():
-            if rho is None or not math.isfinite(rho):
-                raise ModelError(f"arrival reward undefined or non-finite for {key}")
         if self.observations is not None:
             if self.observation_labels is None:
                 raise ModelError("observations given without an observation alphabet")
             n_obs = len(self.observation_labels)
             for key, row in self.observations.items():
-                _check_row(row, n_obs, "O{}", key)
+                _check_row(row, n_obs, ("o", "p"), "O{}", key)
 
     @property
     def n_states(self):
@@ -176,7 +182,8 @@ class ValueTable:
     def write_csv(self, problem: Problem, fh: IO):
         labels, values = problem.state_labels, self.values
         _write_pairs(fh, ("state", "value"),
-                     ((labels[s], repr(values[s])) for s in sorted(values)))
+                     ((labels[s], repr(values[s]))
+                      for s in range(len(labels)) if s in values))
 
 
 @dataclass
@@ -193,7 +200,8 @@ class Policy:
         labels, names, actions = (problem.state_labels, problem.action_labels,
                                   self.actions)
         _write_pairs(fh, ("state", "action"),
-                     ((labels[s], names[actions[s]]) for s in sorted(actions)))
+                     ((labels[s], names[actions[s]])
+                      for s in range(len(labels)) if s in actions))
 
 
 Plan = Sequence
@@ -219,24 +227,19 @@ def expected_utility(problem: Problem, s: int, a: int, u) -> float:
     problem.require_admissible(s, a)
     values = u.values if isinstance(u, ValueTable) else u
     total = 0.0
-    for s2, p in problem.transitions[(s, a)]:
-        if s2 not in values:
-            raise IncompleteValueTableError(
-                f"no value for successor {problem.state_labels[s2]!r}"
-            )
-        total += p * values[s2]
+    for s2, p, _ in problem.transitions[(s, a)]:
+        total += p * (values[s2] if s2 in values else _missing(problem, s2))
     return total
 
 
 def q_value(problem: Problem, s: int, a: int, values: Mapping) -> float:
-    """One-step lookahead: R(s,a) + gamma * sum T * (rho + u(s'))."""
+    """One-step lookahead: sum over branches of p * (r + gamma * u(s'))."""
     problem.require_admissible(s, a)
-    acc = 0.0
-    for s2, p in problem.transitions[(s, a)]:
-        rho = problem.transition_rewards.get((s, a, s2), 0.0)
+    gamma, acc = problem.gamma, 0.0
+    for s2, p, r in problem.transitions[(s, a)]:
         u2 = values[s2] if s2 in values else _missing(problem, s2)
-        acc += p * (rho + u2)
-    return problem.rewards[(s, a)] + problem.gamma * acc
+        acc += p * (r + gamma * u2)
+    return acc
 
 
 def _missing(problem, s2):
@@ -247,7 +250,8 @@ def _missing(problem, s2):
 
 def plan_utility(problem: Problem, s0: int, plan: Plan) -> float:
     """Discounted cumulative reward of a fixed plan along a deterministic
-    trajectory: R0 + gamma * (rho0 + R1 + gamma * (rho1 + ...))."""
+    trajectory: r0 + gamma * (r1 + gamma * (r2 + ...)), summed first step
+    first as ``open_loop_expectation`` sums it."""
     if problem.horizon is not None and len(plan) > problem.horizon + 1:
         raise InvalidConfigError("plan longer than horizon + 1")
     s, total, disc = s0, 0.0, 1.0
@@ -259,11 +263,9 @@ def plan_utility(problem: Problem, s0: int, plan: Plan) -> float:
                 f"stochastic transition at ({problem.state_labels[s]!r}, "
                 f"{problem.action_labels[a]!r})"
             )
-        s2 = row[0][0]
-        rho = problem.transition_rewards.get((s, a, s2), 0.0)
-        total += disc * (problem.rewards[(s, a)] + problem.gamma * rho)
+        s, _, r = row[0]
+        total += disc * r
         disc *= problem.gamma
-        s = s2
     return total
 
 
@@ -303,6 +305,7 @@ def evaluate_policy(problem: Problem, pi, t: int) -> ValueTable:
     dict for stochastic policies, or a sequence of t+1 of these applied
     level by level (nonstationary).
     """
+    _check_horizon(t, "t")
     if isinstance(pi, (list, tuple)) and pi and isinstance(
         pi[0], (dict, Policy)
     ):
@@ -369,7 +372,7 @@ def _backward_pass(problem: Problem, horizon: int) -> dict:
         depth[s] = math.inf
         longest = 0
         for a in problem.admissible[s]:
-            for s2, _ in problem.transitions[(s, a)]:
+            for s2, _, _ in problem.transitions[(s, a)]:
                 if s2 in terminal:
                     continue
                 if s2 not in depth:
@@ -414,7 +417,10 @@ def value_iterate(
 
     A table holding a value that is not finite raises ``ModelError``:
     rewards are finite, so only a sum past the float range makes one.
+    A horizon other than a non-negative int raises ``InvalidConfigError``.
     """
+    if horizon is not None:
+        _check_horizon(horizon, "horizon")
     if horizon is None and epsilon is None:
         if problem.horizon is not None:
             horizon = problem.horizon
@@ -511,7 +517,7 @@ def belief_update(problem: Problem, b: Belief, a: int, o: int) -> Belief:
         if bs <= 0.0:
             continue
         problem.require_admissible(s, a)
-        for s2, p in problem.transitions[(s, a)]:
+        for s2, p, _ in problem.transitions[(s, a)]:
             pred[s2] = pred.get(s2, 0.0) + p * bs
     if problem.observations is None:
         if pred.get(o, 0.0) > 0.0:
@@ -567,6 +573,7 @@ def open_loop_expectation(problem: Problem, s0: int, behavior, horizon: int = No
         horizon = problem.horizon
     if horizon is None:
         raise InvalidConfigError("open-loop enumeration needs a finite horizon")
+    _check_horizon(horizon, "horizon")
 
     leaves = []
 
@@ -585,13 +592,10 @@ def open_loop_expectation(problem: Problem, s0: int, behavior, horizon: int = No
             if pa <= 0.0:
                 continue
             problem.require_admissible(s, a)
-            r = problem.rewards[(s, a)]
-            for s2, p in problem.transitions[(s, a)]:
+            for s2, p, r in problem.transitions[(s, a)]:
                 if p <= 0.0:
                     continue
-                rho = problem.transition_rewards.get((s, a, s2), 0.0)
-                yield walk(s2, depth + 1, prob * pa * p,
-                           total + disc * (r + problem.gamma * rho),
+                yield walk(s2, depth + 1, prob * pa * p, total + disc * r,
                            disc * problem.gamma, plan_pos)
 
     run_walk(walk(s0, 0, 1.0, 0.0, 1.0, 0))
@@ -616,6 +620,7 @@ def closed_loop_value(problem: Problem, s0: int, horizon: int = None) -> float:
         horizon = problem.horizon
     if horizon is None:
         raise InvalidConfigError("closed-loop evaluation needs a finite horizon")
+    _check_horizon(horizon, "horizon")
     if problem.observations is None:
         return value_iterate(problem, horizon)[s0]
 
@@ -639,12 +644,12 @@ def closed_loop_value(problem: Problem, s0: int, horizon: int = None) -> float:
             raise ModelError("no action admissible across the belief support")
         best = -math.inf
         for a in sorted(acts):
-            # Expected reward of this step, arrival rewards included.
+            # Expected reward of this step.
             now = sum(b[s] * q_value(problem, s, a, zeros) for s in support)
             # Probability of each observation under (b, a).
             obs_p = {}
             for s in support:
-                for s2, p in problem.transitions[(s, a)]:
+                for s2, p, _ in problem.transitions[(s, a)]:
                     for o, po in problem.observations.get((s2, a), ()):
                         obs_p[o] = obs_p.get(o, 0.0) + b[s] * p * po
             future = 0.0

@@ -10,9 +10,9 @@ outcome) resolves one scenario random variable;
 ``CompiledScenario.outcomes`` names it and the value each successor
 stands for, so a plant can pin the row to a hidden ground truth.
 
-Branch-dependent energy costs and terminal values are attached as
-successor-dependent transition rewards, so realized per-step rewards
-match the executed branch exactly.
+Each branch ``(s', p, r)`` of a row carries its reward: the negated
+energy it spends plus the terminal value of the status it ends in, so
+realized per-step rewards match the executed branch exactly.
 """
 from __future__ import annotations
 
@@ -477,8 +477,8 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
     """Compile a scenario into a validated Problem by forward reachability,
     expanding states in index order; ``rv_defs`` takes each variable's
     distribution from its first stochastic row.  An absorbing state (any
-    status but ``ok``) is not expanded: its one action ``stay`` self-loops
-    with no reward, and no outcome."""
+    status but ``ok``) is not expanded: its one action ``stay`` has the
+    row ``((s, 1.0, 0.0),)`` and no outcome."""
     if max_states < 1:
         raise InvalidConfigError(f"max_states must be at least 1, got {max_states}")
     comp = _Compiler(spec)
@@ -490,7 +490,6 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
     index = {s0: 0}
     admissible = []
     transitions = {}
-    transition_rewards = {}
     outcomes = {}
     terminal = set()
     stay = (comp.stay,)
@@ -500,7 +499,7 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
     for s, st in enumerate(states):  # grows while it is walked
         if st.status != OK:
             admissible.append(stay)
-            transitions[(s, comp.stay)] = ((s, 1.0),)
+            transitions[(s, comp.stay)] = ((s, 1.0, 0.0),)
             terminal.add(s)
             continue
         acts = tuple(comp.admissible_actions(st))
@@ -518,14 +517,12 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
                             f"(growing dimension near {comp.label(nxt)!r})"
                         )
                     states.append(nxt)
-                rho = 0.0
+                r = 0.0
                 if step_energy:
-                    rho -= br.energy_wh
+                    r -= br.energy_wh
                 if nxt.status != OK:
-                    rho += comp.terminal_value(nxt)
-                if rho != 0.0:
-                    transition_rewards[(s, a, s2)] = rho
-                rows.append((s2, br.prob))
+                    r += comp.terminal_value(nxt)
+                rows.append((s2, br.prob, r))
             key = (s, a)
             transitions[key] = tuple(rows)
             if branches[0].assign is not None:
@@ -535,17 +532,15 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
     rv_defs = {}
     for key, (rv, values) in outcomes.items():
         if rv not in rv_defs:
-            rv_defs[rv] = {v: p for v, (_, p) in zip(values, transitions[key])}
+            rv_defs[rv] = {v: p for v, (_, p, _) in zip(values, transitions[key])}
     problem = Problem(
         state_labels=tuple(map(comp.label, states)),
         action_labels=tuple(label for label, _, _ in comp.actions),
         admissible=tuple(admissible),
         transitions=transitions,
-        rewards=dict.fromkeys(transitions, 0.0),
         terminal=frozenset(terminal),
         gamma=1.0,
         horizon=len(states),
-        transition_rewards=transition_rewards,
     )
     return CompiledScenario(
         spec=spec,

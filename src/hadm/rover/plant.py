@@ -99,12 +99,9 @@ class Plant:
         rows = problem.transitions[(s, action)]
         outcome = self.compiled.outcomes.get((s, action))
         if outcome is None:
-            chosen = rows[0][0]
+            branch = rows[0]
         else:
             rv, values = outcome
-            chosen = rows[values.index(self.assignments[rv])][0]
-        reward = problem.rewards[(s, action)] + problem.transition_rewards.get(
-            (s, action, chosen), 0.0
-        )
-        self.state = chosen
+            branch = rows[values.index(self.assignments[rv])]
+        self.state, _, reward = branch
         return self.observe(), reward

@@ -472,16 +472,21 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
     n = len(states)
     labels = tuple(st.label() for st in states)
     adm = tuple(admissible[s] for s in range(n))
+    # Each branch carries r = R(s, a) + gamma * rho(s, a, s'), gamma = 1.
     problem = Problem(
         state_labels=labels,
         action_labels=tuple(label for label, _, _ in comp.actions),
         admissible=adm,
-        transitions=transitions,
-        rewards=rewards,
+        transitions={
+            (s, a): tuple(
+                (s2, p, rewards[(s, a)] + 1.0 * transition_rewards.get((s, a, s2), 0.0))
+                for s2, p in row
+            )
+            for (s, a), row in transitions.items()
+        },
         terminal=frozenset(terminal),
         gamma=1.0,
         horizon=n,
-        transition_rewards=transition_rewards,
     )
     return CompiledScenario(
         spec=spec,

@@ -63,7 +63,7 @@ def random_problem(rng, max_states=4, max_actions=3, max_horizon=3,
     n = rng.randint(2, max_states)
     m = rng.randint(1, max_actions)
     terminal = {n - 1} if with_terminal and n > 1 else set()
-    admissible, transitions, rewards, transition_rewards = [], {}, {}, {}
+    admissible, transitions = [], {}
     for s in range(n):
         if s in terminal:
             acts = (0,)
@@ -72,29 +72,23 @@ def random_problem(rng, max_states=4, max_actions=3, max_horizon=3,
         admissible.append(acts)
         for a in acts:
             if s in terminal:
-                transitions[(s, a)] = ((s, 1.0),)
-                rewards[(s, a)] = 0.0
+                transitions[(s, a)] = ((s, 1.0, 0.0),)
                 continue
             succs = rng.sample(range(n), rng.randint(1, n))
             weights = [rng.random() + 0.05 for _ in succs]
             z = sum(weights)
             transitions[(s, a)] = tuple(
-                (s2, w / z) for s2, w in zip(succs, weights)
+                (s2, w / z, round(rng.uniform(-5, 5), 3))
+                for s2, w in zip(succs, weights)
             )
-            rewards[(s, a)] = round(rng.uniform(-5, 5), 3)
-            if rng.random() < 0.3:
-                for s2 in succs:
-                    transition_rewards[(s, a, s2)] = round(rng.uniform(-2, 2), 3)
     return Problem(
         state_labels=tuple(f"s{i}" for i in range(n)),
         action_labels=tuple(f"a{i}" for i in range(m)),
         admissible=tuple(admissible),
         transitions=transitions,
-        rewards=rewards,
         terminal=frozenset(terminal),
         gamma=1.0,
         horizon=rng.randint(1, max_horizon),
-        transition_rewards=transition_rewards,
     )
 
 
@@ -104,10 +98,9 @@ def oracle_value(problem, s, levels):
         return 0.0
     best = -math.inf
     for a in problem.admissible[s]:
-        total = problem.rewards[(s, a)]
-        for s2, p in problem.transitions[(s, a)]:
-            rho = problem.transition_rewards.get((s, a, s2), 0.0)
-            total += problem.gamma * p * (rho + oracle_value(problem, s2, levels - 1))
+        total = 0.0
+        for s2, p, r in problem.transitions[(s, a)]:
+            total += p * (r + problem.gamma * oracle_value(problem, s2, levels - 1))
         best = max(best, total)
     return best
 

@@ -147,7 +147,7 @@ def compiled_facts(compile_fn, spec):
     p = c.problem
     return repr((
         p.state_labels, p.action_labels, p.admissible, p.transitions,
-        p.rewards, p.transition_rewards, sorted(p.terminal), p.horizon,
+        sorted(p.terminal), p.horizon,
         c.initial_state, c.outcomes, c.rv_defs, c.action_index, c.targets,
         c.cool_action, [dict(c.channels(s)) for s in range(p.n_states)],
     ))

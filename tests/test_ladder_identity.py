@@ -98,7 +98,7 @@ def test_artifacts_are_byte_identical(case_id, argv, files, scenario_file,
 
 def test_absorbing_states_stay_in_place():
     """781 states; every non-``ok`` state is terminal with the one admissible
-    action ``stay`` and the row ``((s, 1.0),)``, and no other state is."""
+    action ``stay`` and the row ``((s, 1.0, 0.0),)``, and no other state is."""
     compiled = compile_scenario(load_scenario(ladder_document()))
     p = compiled.problem
     assert p.n_states == 781
@@ -108,7 +108,6 @@ def test_absorbing_states_stay_in_place():
     assert p.terminal == absorbing
     for s in absorbing:
         assert p.admissible[s] == (stay,)
-        assert p.transitions[(s, stay)] == ((s, 1.0),)
-        assert (s, stay, s) not in p.transition_rewards
+        assert p.transitions[(s, stay)] == ((s, 1.0, 0.0),)
     assert all(stay not in p.admissible[s] for s in range(p.n_states)
                if s not in absorbing)

@@ -105,12 +105,11 @@ class TestSerValidation:
             action_labels=("swap", "park"),
             admissible=((0, 1), (0,), (0,)),
             transitions={
-                (0, 0): ((1, 1.0),),
-                (0, 1): ((2, 1.0),),
-                (1, 0): ((0, 1.0),),
-                (2, 0): ((2, 1.0),),
+                (0, 0): ((1, 1.0, 0.0),),
+                (0, 1): ((2, 1.0, 0.0),),
+                (1, 0): ((0, 1.0, 0.0),),
+                (2, 0): ((2, 1.0, 0.0),),
             },
-            rewards={(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (2, 0): 0.0},
             terminal=frozenset({2}),
             horizon=5,
         )
@@ -131,9 +130,8 @@ class TestSerValidation:
             state_labels=tuple(f"s{i}" for i in range(n)),
             action_labels=("go", "stay"),
             admissible=tuple((0,) for _ in range(n - 1)) + ((1,),),
-            transitions={**{(s, 0): ((s + 1, 1.0),) for s in range(n - 1)},
-                         (n - 1, 1): ((n - 1, 1.0),)},
-            rewards={**{(s, 0): 0.0 for s in range(n - 1)}, (n - 1, 1): 0.0},
+            transitions={**{(s, 0): ((s + 1, 1.0, 0.0),) for s in range(n - 1)},
+                         (n - 1, 1): ((n - 1, 1.0, 0.0),)},
             terminal=frozenset({n - 1}),
             horizon=n,
         )
@@ -241,7 +239,7 @@ def stack_validate_ser(problem: Problem, ser: SerPolicy) -> SerReport:
         while True:
             if d is expand:
                 a = ser.actions[s]
-                path[s] = [iter([s2 for s2, p in problem.transitions[(s, a)]
+                path[s] = [iter([s2 for s2, p, _ in problem.transitions[(s, a)]
                                  if p > 0.0]), 0]
             elif d is None:
                 resolved.update(dict.fromkeys(path))
@@ -286,7 +284,7 @@ def ser_cases(draw):
     for s in range(n):
         if s in terminal:
             admissible.append((0,))
-            transitions[(s, 0)] = ((s, 1.0),)
+            transitions[(s, 0)] = ((s, 1.0, 0.0),)
             continue
         acts = tuple(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))))
         admissible.append(acts)
@@ -296,13 +294,13 @@ def ser_cases(draw):
             weights = [draw(st.integers(0, 2)) for _ in succs]
             weights[draw(st.integers(0, len(succs) - 1))] += 1
             z = sum(weights)
-            transitions[(s, a)] = tuple((s2, w / z) for s2, w in zip(succs, weights))
+            transitions[(s, a)] = tuple((s2, w / z, 0.0)
+                                        for s2, w in zip(succs, weights))
     problem = Problem(
         state_labels=tuple(f"s{i}" for i in range(n)),
         action_labels=tuple(f"a{i}" for i in range(m)),
         admissible=tuple(admissible),
         transitions=transitions,
-        rewards=dict.fromkeys(transitions, 0.0),
         terminal=frozenset(terminal),
         horizon=n,
     )
@@ -433,8 +431,7 @@ class TestRunLoop:
             state_labels=("start", "end"),
             action_labels=("go", "stay"),
             admissible=((0,), (1,)),
-            transitions={(0, 0): ((1, 1.0),), (1, 1): ((1, 1.0),)},
-            rewards={(0, 0): -1.0, (1, 1): 0.0},
+            transitions={(0, 0): ((1, 1.0, -1.0),), (1, 1): ((1, 1.0, 0.0),)},
             terminal=frozenset({1}),
             horizon=2,
             observation_labels=("dark", "light"),

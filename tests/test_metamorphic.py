@@ -1,0 +1,101 @@
+"""Metamorphic relation: doubling every energy quantity doubles every value.
+
+Over generated schema-valid documents with ``time_margin_bonus`` off,
+doubling every segment energy, the battery capacity, initial charge and
+charge rate, every power wattage, every activity load and every terminal
+bonus and penalty must double, exactly: every state's value (so the
+root value) and each applicable strategy's analytic expectation.
+Doubling is exact in binary, so the relation needs no tolerance.  A
+time-margin bonus does not scale, so it is switched off; a bonus or
+penalty left at its default is written out, so that it doubles too.
+
+The compiler rounds battery charge to 6 decimals, and ``round(2 * x, 6)``
+is ``2 * round(x, 6)`` only for ``x`` on that grid: a capacity of
+1207.5198546423644 Wh ends with 1207.519855 Wh, and doubled with
+2415.039709 Wh, not 2415.03971; a 16 W heater over a 1/3 h cool leaves
+94.666667 Wh of 100, and doubled 189.333333, not 189.333334.  So the
+generated energies, wattages, bonuses and penalties are first rounded
+to integers and the durations to quarter hours: every charge is then a
+multiple of 1/4 Wh, on the grid before and after doubling.
+"""
+import copy
+
+from hypothesis import given, settings
+
+from hadm.errors import HadmError
+from hadm.model import value_iterate
+from hadm.rover import compile_scenario, load_scenario
+from hadm.rover.spec import RewardConfig
+from hadm.strategies import analytic_expectation, applicable_strategies
+from test_compiler_oracle import MAX_STATES, rover_documents
+
+_BONUSES = ("complete_bonus", "stranded_penalty", "motor_failure_penalty",
+            "deadline_missed_penalty")
+
+
+def scaled(doc, f):
+    """``doc`` with ``f`` applied to every energy, wattage, bonus and penalty."""
+    doc = copy.deepcopy(doc)
+    for seg in doc["segments"]:
+        if "energy_wh" in seg:
+            seg["energy_wh"] = {c: f(e) for c, e in seg["energy_wh"].items()}
+    for act in doc["activities"]:
+        if "load_w" in act:
+            act["load_w"] = f(act["load_w"])
+    for section, keys in (("power", ("solar_w", "heater_w", "drive_w")),
+                          ("battery", ("capacity_wh", "initial_wh", "charge_rate_w")),
+                          ("reward", _BONUSES)):
+        for key in keys:
+            if key in doc.get(section, {}):
+                doc[section][key] = f(doc[section][key])
+    return doc
+
+
+def on_grid(doc):
+    """``doc`` with integer energies, wattages, bonuses and penalties, and
+    durations in quarter hours."""
+    doc = scaled(doc, round)
+    timed = [*doc["segments"], *doc["activities"]]
+    for item, key in [(x, "duration_h") for x in timed] + [
+            (doc["actions"], "cool_grid_h"), (doc.get("power", {}), "sunlight_until_h")]:
+        if key in item:
+            item[key] = round(item[key] * 4) / 4
+    return doc
+
+
+def values(doc):
+    """(initial state, state values, {strategy: analytic value or error
+    type}), or the error type when the document does not compile."""
+    try:
+        compiled = compile_scenario(load_scenario(doc), max_states=MAX_STATES)
+    except HadmError as exc:
+        return type(exc)
+    analytic = {}
+    for name in applicable_strategies(compiled.spec):
+        try:
+            analytic[name] = analytic_expectation(compiled, name)
+        except HadmError as exc:
+            analytic[name] = type(exc)
+    return compiled.initial_state, value_iterate(compiled.problem).values, analytic
+
+
+def twice(x):
+    return x if isinstance(x, type) else 2 * x
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(rover_documents())
+def test_doubling_every_energy_doubles_every_value(doc):
+    defaults = {key: getattr(RewardConfig(), key) for key in _BONUSES}
+    doc["reward"] = {**defaults, **doc["reward"], "step_energy": True,
+                     "time_margin_bonus": False}
+    doc = on_grid(doc)
+    base, doubled = values(doc), values(scaled(doc, lambda x: 2 * x))
+    if isinstance(base, type):
+        assert doubled == base
+        return
+    root, table, analytic = base
+    assert doubled[0] == root
+    assert doubled[1][root] == 2 * table[root]
+    assert doubled[1] == {s: 2 * v for s, v in table.items()}
+    assert doubled[2] == {name: twice(v) for name, v in analytic.items()}

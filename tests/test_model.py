@@ -48,11 +48,10 @@ def chain_problem():
         action_labels=("go", "stay"),
         admissible=((0,), (0,), (1,)),
         transitions={
-            (0, 0): ((1, 1.0),),
-            (1, 0): ((2, 1.0),),
-            (2, 1): ((2, 1.0),),
+            (0, 0): ((1, 1.0, 1.0),),
+            (1, 0): ((2, 1.0, 2.0),),
+            (2, 1): ((2, 1.0, 0.0),),
         },
-        rewards={(0, 0): 1.0, (1, 0): 2.0, (2, 1): 0.0},
         terminal=frozenset({2}),
         gamma=1.0,
         horizon=5,
@@ -66,15 +65,13 @@ def coin_problem():
         action_labels=("flip", "stay"),
         admissible=((0,), (1,), (1,)),
         transitions={
-            (0, 0): ((1, 0.25), (2, 0.75)),
-            (1, 1): ((1, 1.0),),
-            (2, 1): ((2, 1.0),),
+            (0, 0): ((1, 0.25, 11.0), (2, 0.75, -1.0)),
+            (1, 1): ((1, 1.0, 0.0),),
+            (2, 1): ((2, 1.0, 0.0),),
         },
-        rewards={(0, 0): 1.0, (1, 1): 0.0, (2, 1): 0.0},
         terminal=frozenset({1, 2}),
         gamma=1.0,
         horizon=3,
-        transition_rewards={(0, 0, 1): 10.0, (0, 0, 2): -2.0},
     )
 
 
@@ -87,8 +84,6 @@ def random_problem(rng, max_states=4, max_actions=3, max_horizon=3,
         terminal = {n - 1}
     admissible = []
     transitions = {}
-    rewards = {}
-    transition_rewards = {}
     for s in range(n):
         if s in terminal:
             acts = (0,)
@@ -98,29 +93,23 @@ def random_problem(rng, max_states=4, max_actions=3, max_horizon=3,
         admissible.append(acts)
         for a in acts:
             if s in terminal:
-                transitions[(s, a)] = ((s, 1.0),)
-                rewards[(s, a)] = 0.0
+                transitions[(s, a)] = ((s, 1.0, 0.0),)
                 continue
             succs = rng.sample(range(n), rng.randint(1, n))
             weights = [rng.random() + 0.05 for _ in succs]
             z = sum(weights)
             transitions[(s, a)] = tuple(
-                (s2, w / z) for s2, w in zip(succs, weights)
+                (s2, w / z, round(rng.uniform(-5, 5), 3))
+                for s2, w in zip(succs, weights)
             )
-            rewards[(s, a)] = round(rng.uniform(-5, 5), 3)
-            if rng.random() < 0.3:
-                for s2 in succs:
-                    transition_rewards[(s, a, s2)] = round(rng.uniform(-2, 2), 3)
     return Problem(
         state_labels=tuple(f"s{i}" for i in range(n)),
         action_labels=tuple(f"a{i}" for i in range(m)),
         admissible=tuple(admissible),
         transitions=transitions,
-        rewards=rewards,
         terminal=frozenset(terminal),
         gamma=1.0 if rng.random() < 0.5 else round(rng.uniform(0.5, 0.99), 2),
         horizon=rng.randint(1, max_horizon),
-        transition_rewards=transition_rewards,
     )
 
 
@@ -130,9 +119,8 @@ def chain_of(n):
         state_labels=tuple(f"s{i}" for i in range(n)),
         action_labels=("go", "stay"),
         admissible=tuple((0,) for _ in range(n - 1)) + ((1,),),
-        transitions={**{(s, 0): ((s + 1, 1.0),) for s in range(n - 1)},
-                     (n - 1, 1): ((n - 1, 1.0),)},
-        rewards={**{(s, 0): 1.0 for s in range(n - 1)}, (n - 1, 1): 0.0},
+        transitions={**{(s, 0): ((s + 1, 1.0, 1.0),) for s in range(n - 1)},
+                     (n - 1, 1): ((n - 1, 1.0, 0.0),)},
         terminal=frozenset({n - 1}),
         gamma=1.0,
         horizon=n,
@@ -145,10 +133,9 @@ def oracle_value(problem, s, levels):
         return 0.0
     best = -math.inf
     for a in problem.admissible[s]:
-        total = problem.rewards[(s, a)]
-        for s2, p in problem.transitions[(s, a)]:
-            rho = problem.transition_rewards.get((s, a, s2), 0.0)
-            total += problem.gamma * p * (rho + oracle_value(problem, s2, levels - 1))
+        total = 0.0
+        for s2, p, r in problem.transitions[(s, a)]:
+            total += p * (r + problem.gamma * oracle_value(problem, s2, levels - 1))
         best = max(best, total)
     return best
 
@@ -158,11 +145,11 @@ def oracle_policy_value(problem, s, levels, policy_levels):
     if levels == 0 or problem.is_terminal(s):
         return 0.0
     a = policy_levels[0][s]
-    total = problem.rewards[(s, a)]
-    for s2, p in problem.transitions[(s, a)]:
-        rho = problem.transition_rewards.get((s, a, s2), 0.0)
-        total += problem.gamma * p * (
-            rho + oracle_policy_value(problem, s2, levels - 1, policy_levels[1:])
+    total = 0.0
+    for s2, p, r in problem.transitions[(s, a)]:
+        total += p * (
+            r + problem.gamma
+            * oracle_policy_value(problem, s2, levels - 1, policy_levels[1:])
         )
     return total
 
@@ -174,8 +161,7 @@ class TestProblemValidation:
                 state_labels=("a", "b"),
                 action_labels=("x",),
                 admissible=((0,), (0,)),
-                transitions={(0, 0): ((1, 0.5),), (1, 0): ((1, 1.0),)},
-                rewards={(0, 0): 0.0, (1, 0): 0.0},
+                transitions={(0, 0): ((1, 0.5, 0.0),), (1, 0): ((1, 1.0, 0.0),)},
                 horizon=1,
             )
 
@@ -185,24 +171,21 @@ class TestProblemValidation:
                 state_labels=("a", "b"),
                 action_labels=("x",),
                 admissible=((0,), (0,)),
-                transitions={(0, 0): ((1, 1.0),), (1, 0): ((0, 1.0),)},
-                rewards={(0, 0): 0.0, (1, 0): 0.0},
+                transitions={(0, 0): ((1, 1.0, 0.0),), (1, 0): ((0, 1.0, 0.0),)},
                 terminal=frozenset({1}),
                 horizon=1,
             )
 
-    @pytest.mark.parametrize("reward, rho", [(-1.0, {}), (0.0, {(1, 0, 1): 2.0})])
-    def test_terminal_must_absorb_with_zero_reward(self, reward, rho):
+    @pytest.mark.parametrize("reward", [-1.0, 2.0])
+    def test_terminal_must_absorb_with_zero_reward(self, reward):
         with pytest.raises(ModelError, match="zero reward"):
             Problem(
                 state_labels=("a", "b"),
                 action_labels=("x",),
                 admissible=((0,), (0,)),
-                transitions={(0, 0): ((1, 1.0),), (1, 0): ((1, 1.0),)},
-                rewards={(0, 0): 0.0, (1, 0): reward},
+                transitions={(0, 0): ((1, 1.0, 0.0),), (1, 0): ((1, 1.0, reward),)},
                 terminal=frozenset({1}),
                 horizon=1,
-                transition_rewards=rho,
             )
 
     def test_gamma_one_needs_horizon(self):
@@ -211,64 +194,95 @@ class TestProblemValidation:
                 state_labels=("a",),
                 action_labels=("x",),
                 admissible=((0,),),
-                transitions={(0, 0): ((0, 1.0),)},
-                rewards={(0, 0): 0.0},
+                transitions={(0, 0): ((0, 1.0, 0.0),)},
                 gamma=1.0,
             )
 
-    def test_missing_reward(self):
-        with pytest.raises(ModelError):
-            Problem(
-                state_labels=("a",),
-                action_labels=("x",),
-                admissible=((0,),),
-                transitions={(0, 0): ((0, 1.0),)},
-                rewards={},
-                horizon=1,
-            )
-
-    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
-    def test_non_finite_arrival_reward(self, rho):
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reward(self, r):
         with pytest.raises(ModelError, match=r"non-finite for \(0, 0, 1\)"):
             Problem(
                 state_labels=("a", "b"),
                 action_labels=("x",),
                 admissible=((0,), (0,)),
-                transitions={(0, 0): ((1, 1.0),), (1, 0): ((1, 1.0),)},
-                rewards={(0, 0): 0.0, (1, 0): 0.0},
+                transitions={(0, 0): ((1, 1.0, r),), (1, 0): ((1, 1.0, 0.0),)},
                 terminal=frozenset({1}),
                 horizon=1,
-                transition_rewards={(0, 0, 1): rho},
             )
 
+    @pytest.mark.parametrize("horizon", [-1, 2.5, True, "3"])
+    def test_horizon_is_none_or_a_count(self, horizon):
+        with pytest.raises(ModelError, match="horizon must be a non-negative integer"):
+            Problem(
+                state_labels=("a",),
+                action_labels=("x",),
+                admissible=((0,),),
+                transitions={(0, 0): ((0, 1.0, 1.0),)},
+                horizon=horizon,
+            )
+
+    @pytest.mark.parametrize("solve", [
+        lambda p: value_iterate(p, horizon=-3),
+        lambda p: value_iterate(p, horizon=-1),
+        lambda p: value_iterate(p, horizon=2.5),
+        lambda p: value_iterate(p, horizon=True),
+        lambda p: evaluate_policy(p, {0: 0}, -1),
+        lambda p: evaluate_policy(p, {0: 0}, 2.5),
+        lambda p: open_loop_expectation(p, 0, "uniform", horizon=-1),
+        lambda p: closed_loop_value(p, 0, horizon=1.0),
+    ], ids=["vi-3", "vi-1", "vi-2.5", "vi-True", "eval-1", "eval-2.5",
+            "open-loop-1", "closed-loop-1.0"])
+    def test_solver_horizon_is_a_count(self, solve):
+        """Every solver reads a horizon as H+1 backups, so it takes only a
+        non-negative int; horizon 0 is one backup."""
+        p = Problem(
+            state_labels=("a",),
+            action_labels=("x",),
+            admissible=((0,),),
+            transitions={(0, 0): ((0, 1.0, 1.0),)},
+            horizon=0,
+        )
+        assert value_iterate(p).values == {0: 1.0}
+        assert evaluate_policy(p, {0: 0}, 0).values == {0: 1.0}
+        with pytest.raises(InvalidConfigError, match="must be a non-negative integer"):
+            solve(p)
+
     @pytest.mark.parametrize("change, message", [
-        ({"transitions": {(0, 0): ((2, 1.0),), (1, 0): ((1, 1.0),)}},
+        ({"transitions": {(0, 0): ((2, 1.0, 0.0),), (1, 0): ((1, 1.0, 0.0),)}},
          "T(0,0,.): index 2 out of range"),
-        ({"transitions": {(0, 0): ((1, 1.5), (0, -0.5)), (1, 0): ((1, 1.0),)}},
+        ({"transitions": {(0, 0): ((1, 1.5, 0.0), (0, -0.5, 0.0)),
+                          (1, 0): ((1, 1.0, 0.0),)}},
          "T(0,0,.): probability 1.5 outside [0, 1]"),
-        ({"transitions": {(0, 0): ((1, 1.0),), (1, 0): ((1, 0.5), (0, 0.25))}},
+        ({"transitions": {(0, 0): ((1, 1.0, 0.0),),
+                          (1, 0): ((1, 0.5, 0.0), (0, 0.25, 0.0))}},
          "T(1,0,.): probabilities sum to 0.75, expected 1"),
+        ({"transitions": {(0, 0): ((1, 1.0),), (1, 0): ((1, 1.0, 0.0),)}},
+         "T(0,0,.): entry (1, 1.0) is not (s', p, r)"),
+        ({"transitions": {(0, 0): ((1, 1.0, 0.0),), (1, 0): ((1, 1.0, 0.0, 2.0),)}},
+         "T(1,0,.): entry (1, 1.0, 0.0, 2.0) is not (s', p, r)"),
+        ({"observations": {(1, 0): ((0, 1.0, 0.0),)}},
+         "O(1, 0): entry (0, 1.0, 0.0) is not (o, p)"),
         ({"observations": {(1, 0): ((3, 1.0),)}},
          "O(1, 0): index 3 out of range"),
         ({"observations": {(1, 0): ((0, -0.5), (1, 1.5))}},
          "O(1, 0): probability -0.5 outside [0, 1]"),
         ({"observations": {(0, 0): ((0, 1.0),), (1, 0): ((0, 0.5),)}},
          "O(1, 0): probabilities sum to 0.5, expected 1"),
-        ({"transitions": {(1, 0): ((1, 1.0),)}},
+        ({"transitions": {(1, 0): ((1, 1.0, 0.0),)}},
          "missing transition row for (0, 0)"),
         ({"terminal": frozenset({1}),
-          "transitions": {(0, 0): ((1, 1.0),), (1, 0): ((0, 1.0),)}},
+          "transitions": {(0, 0): ((1, 1.0, 0.0),), (1, 0): ((0, 1.0, 0.0),)}},
          "terminal state 1 must self-loop"),
-    ], ids=["T-index", "T-probability", "T-sum", "O-index", "O-probability",
-            "O-sum", "missing-row", "terminal-self-loop"])
+    ], ids=["T-index", "T-probability", "T-sum", "T-pair", "T-arity",
+            "O-triple", "O-index", "O-probability", "O-sum", "missing-row",
+            "terminal-self-loop"])
     def test_row_check_messages(self, change, message):
         """Each row check raises with its exact message."""
         fields = dict(
             state_labels=("a", "b"),
             action_labels=("x",),
             admissible=((0,), (0,)),
-            transitions={(0, 0): ((1, 1.0),), (1, 0): ((1, 1.0),)},
-            rewards={(0, 0): 0.0, (1, 0): 0.0},
+            transitions={(0, 0): ((1, 1.0, 0.0),), (1, 0): ((1, 1.0, 0.0),)},
             horizon=1,
             observation_labels=("o0", "o1"),
             observations={(1, 0): ((0, 1.0),)},
@@ -292,7 +306,7 @@ def dense_belief_update(problem, b, a, o):
         if b[s] <= 0.0:
             continue
         problem.require_admissible(s, a)
-        for s2, p in problem.transitions[(s, a)]:
+        for s2, p, _ in problem.transitions[(s, a)]:
             pred[s2] += p * b[s]
     post = [0.0] * n
     for s2 in range(n):
@@ -360,8 +374,7 @@ class TestBeliefs:
             state_labels=("h0", "h1"),
             action_labels=("look",),
             admissible=((0,), (0,)),
-            transitions={(0, 0): ((0, 1.0),), (1, 0): ((1, 1.0),)},
-            rewards={(0, 0): 0.0, (1, 0): 0.0},
+            transitions={(0, 0): ((0, 1.0, 0.0),), (1, 0): ((1, 1.0, 0.0),)},
             horizon=3,
             observation_labels=("o0", "o1"),
             observations={
@@ -381,8 +394,7 @@ class TestBeliefs:
             state_labels=("h0",),
             action_labels=("look",),
             admissible=((0,),),
-            transitions={(0, 0): ((0, 1.0),)},
-            rewards={(0, 0): 0.0},
+            transitions={(0, 0): ((0, 1.0, 0.0),)},
             horizon=1,
             observation_labels=("o0", "o1"),
             observations={(0, 0): ((0, 1.0),)},
@@ -450,22 +462,16 @@ class TestDeterministicValues:
         for _ in range(50):
             n = rng.randint(2, 6)
             m = rng.randint(1, 3)
-            transitions, rewards, transition_rewards = {}, {}, {}
-            for s in range(n):
-                for a in range(m):
-                    s2 = rng.randrange(n)
-                    transitions[(s, a)] = ((s2, 1.0),)
-                    rewards[(s, a)] = round(rng.uniform(-5, 5), 3)
-                    if rng.random() < 0.5:
-                        transition_rewards[(s, a, s2)] = round(rng.uniform(-2, 2), 3)
+            transitions = {
+                (s, a): ((rng.randrange(n), 1.0, round(rng.uniform(-5, 5), 3)),)
+                for s in range(n) for a in range(m)
+            }
             p = Problem(
                 state_labels=tuple(f"s{i}" for i in range(n)),
                 action_labels=tuple(f"a{i}" for i in range(m)),
                 admissible=(tuple(range(m)),) * n,
                 transitions=transitions,
-                rewards=rewards,
                 gamma=round(rng.uniform(0.1, 0.95), 2),
-                transition_rewards=transition_rewards,
             )
             plan = [rng.randrange(m) for _ in range(rng.randint(1, 8))]
             value, _ = open_loop_expectation(p, 0, plan, horizon=len(plan))
@@ -478,7 +484,7 @@ class TestDeterministicValues:
 
     def test_transition_rewards_in_expectation(self):
         p = coin_problem()
-        # 1 + 0.25*10 + 0.75*(-2) = 2.0
+        # 0.25*11 + 0.75*(-1) = 2.0
         assert q_value(p, 0, 0, {0: 0.0, 1: 0.0, 2: 0.0}) == pytest.approx(2.0)
         t = value_iterate(p)
         assert t[0] == pytest.approx(2.0)
@@ -555,11 +561,10 @@ class TestSolverOracles:
             action_labels=("x", "y"),
             admissible=((0, 1), (0,)),
             transitions={
-                (0, 0): ((0, 0.5), (1, 0.5)),
-                (0, 1): ((1, 1.0),),
-                (1, 0): ((0, 1.0),),
+                (0, 0): ((0, 0.5, 1.0), (1, 0.5, 1.0)),
+                (0, 1): ((1, 1.0, 0.0),),
+                (1, 0): ((0, 1.0, 2.0),),
             },
-            rewards={(0, 0): 1.0, (0, 1): 0.0, (1, 0): 2.0},
             gamma=0.9,
         )
         t = value_iterate(p, epsilon=1e-10)
@@ -577,11 +582,10 @@ class TestSolverOracles:
                 action_labels=("x", "y"),
                 admissible=(order, (0,)),
                 transitions={
-                    (0, 0): ((1, 1.0),),
-                    (0, 1): ((1, 1.0),),
-                    (1, 0): ((1, 1.0),),
+                    (0, 0): ((1, 1.0, 1.0),),
+                    (0, 1): ((1, 1.0, 1.0),),
+                    (1, 0): ((1, 1.0, 0.0),),
                 },
-                rewards={(0, 0): 1.0, (0, 1): 1.0, (1, 0): 0.0},
                 terminal=frozenset({1}),
                 horizon=2,
             )
@@ -637,23 +641,16 @@ class TestOpenAndClosedLoop:
     def test_belief_expectimax_matches_decision_rule_enumeration(self):
         # Two hidden coin states; one noisy peek, then bet. The optimal
         # strategy conditions the bet on the peek outcome.
+        reward = {
+            (0, 0): 0.0, (1, 0): 0.0,
+            (0, 1): 1.0, (0, 2): -1.0,
+            (1, 1): -1.0, (1, 2): 1.0,
+        }
         p = Problem(
             state_labels=("heads", "tails"),
             action_labels=("peek", "bet_heads", "bet_tails"),
             admissible=((0, 1, 2), (0, 1, 2)),
-            transitions={
-                (0, 0): ((0, 1.0),),
-                (1, 0): ((1, 1.0),),
-                (0, 1): ((0, 1.0),),
-                (0, 2): ((0, 1.0),),
-                (1, 1): ((1, 1.0),),
-                (1, 2): ((1, 1.0),),
-            },
-            rewards={
-                (0, 0): 0.0, (1, 0): 0.0,
-                (0, 1): 1.0, (0, 2): -1.0,
-                (1, 1): -1.0, (1, 2): 1.0,
-            },
+            transitions={(s, a): ((s, 1.0, r),) for (s, a), r in reward.items()},
             gamma=1.0,
             horizon=1,
             observation_labels=("saw_h", "saw_t"),
@@ -674,7 +671,7 @@ class TestOpenAndClosedLoop:
             for s, ps in ((0, 0.5), (1, 0.5)):
                 for o, po in p.observations[(s, a1)]:
                     a2 = rule[o]
-                    total += ps * po * (p.rewards[(s, a1)] + p.rewards[(s, a2)])
+                    total += ps * po * (reward[(s, a1)] + reward[(s, a2)])
             return total
 
         best = -math.inf
@@ -691,19 +688,13 @@ class TestOpenAndClosedLoop:
             action_labels=("deal", "peek", "bet_heads", "bet_tails"),
             admissible=((0,), (1, 2, 3), (1, 2, 3)),
             transitions={
-                (0, 0): ((1, 0.5), (2, 0.5)),
-                (1, 1): ((1, 1.0),),
-                (2, 1): ((2, 1.0),),
-                (1, 2): ((1, 1.0),),
-                (1, 3): ((1, 1.0),),
-                (2, 2): ((2, 1.0),),
-                (2, 3): ((2, 1.0),),
-            },
-            rewards={
-                (0, 0): 0.0,
-                (1, 1): 0.0, (2, 1): 0.0,
-                (1, 2): 1.0, (1, 3): -1.0,
-                (2, 2): -1.0, (2, 3): 1.0,
+                (0, 0): ((1, 0.5, 0.0), (2, 0.5, 0.0)),
+                (1, 1): ((1, 1.0, 0.0),),
+                (2, 1): ((2, 1.0, 0.0),),
+                (1, 2): ((1, 1.0, 1.0),),
+                (1, 3): ((1, 1.0, -1.0),),
+                (2, 2): ((2, 1.0, -1.0),),
+                (2, 3): ((2, 1.0, 1.0),),
             },
             gamma=1.0,
             horizon=2,
@@ -728,9 +719,8 @@ class TestOpenAndClosedLoop:
             state_labels=("ok", "worn"),
             action_labels=("run",),
             admissible=((0,), (0,)),
-            transitions={(0, 0): ((0, 0.5), (1, 0.5)),
-                         (1, 0): ((0, 0.5), (1, 0.5))},
-            rewards={(0, 0): 1.0, (1, 0): 0.0},
+            transitions={(0, 0): ((0, 0.5, 1.0), (1, 0.5, 1.0)),
+                         (1, 0): ((0, 0.5, 0.0), (1, 0.5, 0.0))},
             gamma=1.0,
             horizon=1500,
             observation_labels=("quiet", "noisy"),
@@ -788,11 +778,9 @@ def tree_open_loop(problem, s0, behavior, horizon=None):
             return [(prob, total)]
         found = []
         for a, pa in dist:
-            for s2, p in problem.transitions[(s, a)]:
+            for s2, p, r in problem.transitions[(s, a)]:
                 if pa > 0.0 and p > 0.0:
-                    rho = problem.transition_rewards.get((s, a, s2), 0.0)
-                    gain = disc * (problem.rewards[(s, a)] + problem.gamma * rho)
-                    found += leaves(s2, depth + 1, prob * pa * p, total + gain,
+                    found += leaves(s2, depth + 1, prob * pa * p, total + disc * r,
                                     disc * problem.gamma, pos)
         return found
 
@@ -815,34 +803,29 @@ def open_loop_cases(draw):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 2))
     terminal = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
-    admissible, transitions, rewards, transition_rewards = [], {}, {}, {}
+    admissible, transitions = [], {}
     for s in range(n):
         acts = (0,) if s in terminal else tuple(range(m))
         admissible.append(acts)
         for a in acts:
             if s in terminal:
-                transitions[(s, a)], rewards[(s, a)] = ((s, 1.0),), 0.0
+                transitions[(s, a)] = ((s, 1.0, 0.0),)
                 continue
             succs = draw(st.lists(st.integers(0, n - 1), min_size=1,
                                   max_size=2, unique=True))
             weights = [draw(st.integers(0, 2)) for _ in succs]
             weights[0] += 1
             z = sum(weights)
-            transitions[(s, a)] = tuple((s2, w / z) for s2, w in zip(succs, weights))
-            rewards[(s, a)] = draw(_amounts)
-            for s2 in succs:
-                if draw(st.booleans()):
-                    transition_rewards[(s, a, s2)] = draw(_amounts)
+            transitions[(s, a)] = tuple((s2, w / z, draw(_amounts))
+                                        for s2, w in zip(succs, weights))
     problem = Problem(
         state_labels=tuple(f"s{i}" for i in range(n)),
         action_labels=tuple(f"a{i}" for i in range(m)),
         admissible=tuple(admissible),
         transitions=transitions,
-        rewards=rewards,
         terminal=frozenset(terminal),
         gamma=draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0))),
         horizon=draw(st.integers(0, 3)),
-        transition_rewards=transition_rewards,
     )
     actions = st.integers(0, m - 1)
     stochastic = st.lists(
@@ -876,8 +859,8 @@ def forks(k):
         state_labels=tuple(f"s{i}" for i in range(k + 1)),
         action_labels=("x", "y"),
         admissible=((0, 1),) * k + ((0,),),
-        transitions={(s, a): ((min(s + 1, k), 1.0),) for s in range(k + 1) for a in (0, 1)},
-        rewards={(s, a): -float(a) for s in range(k + 1) for a in (0, 1)},
+        transitions={(s, a): ((min(s + 1, k), 1.0, -float(a)),)
+                     for s in range(k + 1) for a in (0, 1)},
         terminal=frozenset({k}),
         gamma=1.0,
         horizon=k,
@@ -914,7 +897,7 @@ _amounts = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -2.5]),
     st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
 )
-# 5e-324 makes gamma * (negative sum) round to -0.0.
+# 5e-324 makes gamma * u(s') round to a signed zero.
 _gammas = st.one_of(
     st.sampled_from([1.0, 0.0, 0.5, 0.9, 5e-324]),
     st.floats(min_value=0.0, max_value=1.0),
@@ -930,7 +913,7 @@ def reference_depth(problem):
             s: 0 if problem.is_terminal(s) else 1 + max(
                 depth[s2]
                 for a in problem.admissible[s]
-                for s2, _ in problem.transitions[(s, a)]
+                for s2, _, _ in problem.transitions[(s, a)]
             )
             for s in range(problem.n_states)
         }
@@ -947,7 +930,7 @@ def dispatch_cases(draw):
     ``dag`` and ``chain`` problems only move to higher state indices, the
     chain by one or two at a time so that its longest path is long;
     ``cyclic`` problems may move anywhere.  Terminals, zero-probability
-    successors, arrival rewards and discounting are all drawn, and the
+    successors, branch rewards and discounting are all drawn, and the
     horizon falls on either side of the longest path.
     """
     shape = draw(st.sampled_from(["dag", "cyclic", "chain"]))
@@ -956,14 +939,11 @@ def dispatch_cases(draw):
     terminal = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
     if shape != "cyclic":
         terminal.add(n - 1)
-    admissible, transitions, rewards, transition_rewards = [], {}, {}, {}
+    admissible, transitions = [], {}
     for s in range(n):
         if s in terminal:
             admissible.append((0,))
-            transitions[(s, 0)] = ((s, 1.0),)
-            rewards[(s, 0)] = draw(st.sampled_from([0.0, -0.0]))
-            if draw(st.booleans()):
-                transition_rewards[(s, 0, s)] = draw(st.sampled_from([0.0, -0.0]))
+            transitions[(s, 0)] = ((s, 1.0, draw(st.sampled_from([0.0, -0.0]))),)
             continue
         acts = tuple(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))))
         admissible.append(acts)
@@ -979,22 +959,17 @@ def dispatch_cases(draw):
             weights = [draw(st.integers(0, 4)) for _ in succs]
             weights[0] += 1
             z = sum(weights)
-            transitions[(s, a)] = tuple((s2, w / z) for s2, w in zip(succs, weights))
-            rewards[(s, a)] = draw(_amounts)
-            for s2 in succs:
-                if draw(st.booleans()):
-                    transition_rewards[(s, a, s2)] = draw(_amounts)
+            transitions[(s, a)] = tuple((s2, w / z, draw(_amounts))
+                                        for s2, w in zip(succs, weights))
     horizon = draw(st.integers(0, n + 2))
     problem = Problem(
         state_labels=tuple(f"s{i}" for i in range(n)),
         action_labels=tuple(f"a{i}" for i in range(m)),
         admissible=tuple(admissible),
         transitions=transitions,
-        rewards=rewards,
         terminal=frozenset(terminal),
         gamma=draw(_gammas),
         horizon=horizon,
-        transition_rewards=transition_rewards,
     )
     return problem, horizon
 
@@ -1059,8 +1034,7 @@ class TestSolverDispatch:
             state_labels=tuple(f"s{i}" for i in range(n)),
             action_labels=("go",),
             admissible=((0,),) * n,
-            transitions={(s, 0): (((s + 1) % n, 1.0),) for s in range(n)},
-            rewards={(s, 0): 1.0 for s in range(n)},
+            transitions={(s, 0): (((s + 1) % n, 1.0, 1.0),) for s in range(n)},
             gamma=1.0,
             horizon=4,
         )

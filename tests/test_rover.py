@@ -126,7 +126,7 @@ def _moves(compiled, label):
         (compiled.states[s], compiled.states[s2])
         for (s, b), rows in p.transitions.items()
         if b == a and compiled.states[s].status == "ok"
-        for s2, _ in rows
+        for s2, _, _ in rows
     ]
 
 
@@ -191,16 +191,14 @@ class TestCompilation:
         p = crater.problem
         root = crater.initial_state
         a = crater.action("drive:L1")
-        probs = sorted(pr for _, pr in p.transitions[(root, a)])
+        probs = sorted(pr for _, pr, _ in p.transitions[(root, a)])
         assert probs == [0.4, 0.6]
 
     def test_branch_energy_in_transition_rewards(self, crater):
         p = crater.problem
         root = crater.initial_state
         a = crater.action("drive:L1")
-        energies = sorted(
-            -p.transition_rewards[(root, a, s2)] for s2, _ in p.transitions[(root, a)]
-        )
+        energies = sorted(-r for _, _, r in p.transitions[(root, a)])
         assert energies == [300.0, 600.0]
 
     def test_rv_definitions(self, crater):
@@ -212,7 +210,7 @@ class TestCompilation:
     def test_terminal_states_absorb(self, crater):
         p = crater.problem
         for s in p.terminal:
-            assert p.transitions[(s, p.admissible[s][0])] == ((s, 1.0),)
+            assert p.transitions[(s, p.admissible[s][0])] == ((s, 1.0, 0.0),)
 
     def test_battery_clamps_at_capacity(self, recharge):
         # Charging always ends exactly at capacity.
@@ -244,9 +242,10 @@ class TestCompilation:
         for s, st in enumerate(recharge.states):
             if st.status == STUCK:
                 assert table[s] == 0.0
-                for (s0, a, s2), rho in p.transition_rewards.items():
-                    if s2 == s and recharge.states[s0].status == "ok":
-                        assert rho == 0.0
+                for (s0, a), row in p.transitions.items():
+                    for s2, _, r in row:
+                        if s2 == s and recharge.states[s0].status == "ok":
+                            assert r == 0.0
 
     def test_motor_failure_reachable_and_penalized(self, hill):
         p = hill.problem
@@ -254,8 +253,9 @@ class TestCompilation:
                     if st.status == MOTOR_FAILURE]
         assert failures
         penalties = {
-            rho
-            for (s0, a, s2), rho in p.transition_rewards.items()
+            r
+            for (s0, a), row in p.transitions.items()
+            for s2, _, r in row
             if s2 in failures and hill.states[s0].status == "ok"
         }
         assert penalties == {-1000000.0}
