@@ -17,10 +17,6 @@ class IncompleteValueTableError(HadmError):
     """A value table is missing an entry required by a computation."""
 
 
-class NotDeterministicError(HadmError):
-    """A plan-based evaluation hit a stochastic transition."""
-
-
 class InvalidConfigError(HadmError):
     """Invalid solver or scenario configuration."""
 

@@ -2,15 +2,17 @@
 
 Holds the generic substrate used by every scenario: tabular MDP/POMDP
 definitions, expected-utility computation, policy evaluation, value
-iteration, greedy policy extraction, Bayesian belief updates, and
-open-loop vs. closed-loop evaluation of fixed behaviors.
+iteration, greedy policy extraction (stationary, or one rule per level
+by backward induction), Bayesian belief updates, and open-loop vs.
+closed-loop evaluation of fixed behaviors (a plan's value is its
+open-loop expectation).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import IO, Mapping, Sequence
+from typing import IO, Mapping
 
 from .errors import (
     ImpossibleObservationError,
@@ -18,12 +20,11 @@ from .errors import (
     IncompleteValueTableError,
     InvalidConfigError,
     ModelError,
-    NotDeterministicError,
     ResourceLimitError,
 )
 
 PROB_TOL = 1e-9
-# Most values ``value_iterate(..., return_stages=True)`` may keep.
+# Most policy entries the H+1 levels of ``extract_nonstationary`` may hold.
 MAX_STAGE_ENTRIES = 2 * 10**6
 # Most scenarios (leaves of the behavior tree) ``open_loop_expectation``
 # may enumerate.
@@ -59,6 +60,17 @@ def _check_horizon(horizon, name, error=InvalidConfigError):
     """Raise ``error`` unless ``horizon`` is a non-negative int, not a bool."""
     if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 0:
         raise error(f"{name} must be a non-negative integer, got {horizon!r}")
+
+
+def _horizon(problem, horizon, what):
+    """``horizon``, else the problem's, checked as a count; ``what`` names
+    the caller when neither is set."""
+    if horizon is None:
+        horizon = problem.horizon
+    if horizon is None:
+        raise InvalidConfigError(f"{what} needs a finite horizon")
+    _check_horizon(horizon, "horizon")
+    return horizon
 
 
 @dataclass(frozen=True)
@@ -204,9 +216,6 @@ class Policy:
                       for s in range(len(labels)) if s in actions))
 
 
-Plan = Sequence
-
-
 def point_mass(n_states: int, s: int) -> Belief:
     """All mass on ``s``; empty (and so invalid) when ``s`` is out of range."""
     return {s: 1.0} if 0 <= s < n_states else {}
@@ -246,27 +255,6 @@ def _missing(problem, s2):
     raise IncompleteValueTableError(
         f"no value for successor {problem.state_labels[s2]!r}"
     )
-
-
-def plan_utility(problem: Problem, s0: int, plan: Plan) -> float:
-    """Discounted cumulative reward of a fixed plan along a deterministic
-    trajectory: r0 + gamma * (r1 + gamma * (r2 + ...)), summed first step
-    first as ``open_loop_expectation`` sums it."""
-    if problem.horizon is not None and len(plan) > problem.horizon + 1:
-        raise InvalidConfigError("plan longer than horizon + 1")
-    s, total, disc = s0, 0.0, 1.0
-    for a in plan:
-        problem.require_admissible(s, a)
-        row = problem.transitions[(s, a)]
-        if len(row) != 1:
-            raise NotDeterministicError(
-                f"stochastic transition at ({problem.state_labels[s]!r}, "
-                f"{problem.action_labels[a]!r})"
-            )
-        s, _, r = row[0]
-        total += disc * r
-        disc *= problem.gamma
-    return total
 
 
 def _entry(problem, s, choice):
@@ -389,12 +377,8 @@ def _backward_pass(problem: Problem, horizon: int) -> dict:
     return {s: u[s] for s in range(problem.n_states)}  # sweeps' key order
 
 
-def value_iterate(
-    problem: Problem,
-    horizon: int = None,
-    epsilon: float = None,
-    return_stages: bool = False,
-):
+def value_iterate(problem: Problem, horizon: int = None,
+                  epsilon: float = None) -> ValueTable:
     """Optimal utilities by value iteration.
 
     Stop either after a fixed number of sweeps (finite horizon) or when
@@ -402,40 +386,38 @@ def value_iterate(
     Defaults to the problem horizon when set, otherwise epsilon = 1e-9.
     A horizon-H value is H+1 backups from the all-zero table: the first
     values the final action alone, and the H after it are the sweeps
-    counted in ``iterations`` and ``residual_history``.  With
-    ``return_stages`` the table after every backup is returned too; a
-    horizon whose H+1 tables would hold more than ``MAX_STAGE_ENTRIES``
-    values raises ``ResourceLimitError`` before the first sweep.
+    counted in ``iterations`` and ``residual_history``.
 
-    With a horizon and without ``return_stages``, a problem whose
-    non-terminal states form no cycle and whose longest path takes at
-    most H+1 actions is solved by one backward pass instead: each state
-    is backed up once, children first, with terminals at 0.0.  Every
-    state then already holds its value after H+1 sweeps, bit for bit.
-    That table reports ``iterations=1``, ``residual=0.0`` and an empty
-    ``residual_history``.
+    With a horizon, a problem whose non-terminal states form no cycle
+    and whose longest path takes at most H+1 actions is solved by one
+    backward pass instead: each state is backed up once, children first,
+    with terminals at 0.0.  Every state then already holds its value
+    after H+1 sweeps, bit for bit.  That table reports ``iterations=1``,
+    ``residual=0.0`` and an empty ``residual_history``.
 
     A table holding a value that is not finite raises ``ModelError``:
     rewards are finite, so only a sum past the float range makes one.
-    A horizon other than a non-negative int raises ``InvalidConfigError``.
+    A horizon other than a non-negative int, an ``epsilon`` other than a
+    positive finite number, or both at once raise ``InvalidConfigError``.
     """
     if horizon is not None:
         _check_horizon(horizon, "horizon")
-    if horizon is None and epsilon is None:
+        if epsilon is not None:
+            raise InvalidConfigError("give a horizon or an epsilon, not both")
+    if epsilon is not None:
+        if (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))
+                or not 0 < epsilon < math.inf):
+            raise InvalidConfigError(
+                f"epsilon must be a positive finite number, got {epsilon!r}")
+    elif horizon is None:
         if problem.horizon is not None:
             horizon = problem.horizon
         else:
             epsilon = 1e-9
-    if epsilon is not None and horizon is None and problem.gamma >= 1.0:
+    if horizon is None and problem.gamma >= 1.0:
         raise InvalidConfigError("residual stopping requires gamma < 1")
-    if return_stages and horizon is not None:
-        if (horizon + 1) * problem.n_states > MAX_STAGE_ENTRIES:
-            raise ResourceLimitError(
-                f"{horizon + 1} stage tables of {problem.n_states} states "
-                f"exceed {MAX_STAGE_ENTRIES} values"
-            )
 
-    if horizon is not None and not return_stages:
+    if horizon is not None:
         try:
             return ValueTable(_finite(problem, _backward_pass(problem, horizon)),
                               iterations=1, residual=0.0)
@@ -443,10 +425,8 @@ def value_iterate(
             pass
 
     u = dict.fromkeys(range(problem.n_states), 0.0)
-    stages = []
     if horizon is not None:
         u = _sweep(problem, u)  # the final action alone
-        stages.append(u)
     history = []
     residual = math.inf
     while (len(history) < horizon) if horizon is not None else (residual > epsilon):
@@ -454,17 +434,12 @@ def value_iterate(
         residual = max(abs(nxt[s] - u[s]) for s in nxt)
         history.append(residual)
         u = nxt
-        if return_stages:
-            stages.append(u)
-        elif residual == 0.0:
+        if residual == 0.0:
             break  # exact fixed point; further sweeps are identity
         if horizon is None and len(history) > 10**6:
             raise InvalidConfigError("value iteration failed to converge")
-    for stage in stages if return_stages else [u]:
-        _finite(problem, stage)
-    table = ValueTable(u, iterations=len(history), residual=residual,
-                       residual_history=history)
-    return (table, stages) if return_stages else table
+    return ValueTable(_finite(problem, u), iterations=len(history),
+                      residual=residual, residual_history=history)
 
 
 def _finite(problem: Problem, u: dict) -> dict:
@@ -497,11 +472,25 @@ def extract_policy(problem: Problem, u) -> Policy:
     return Policy(actions=actions, ties=ties)
 
 
-def extract_nonstationary(problem: Problem, stages) -> list:
-    """Greedy per-level policies from value-iteration stages, first level
-    first; the last level acts against the all-zero table."""
-    zeros = dict.fromkeys(range(problem.n_states), 0.0)
-    return [extract_policy(problem, u) for u in reversed([zeros, *stages[:-1]])]
+def extract_nonstationary(problem: Problem, horizon: int = None) -> list:
+    """Greedy per-level policies for a horizon of H (default the
+    problem's), first level first, by backward induction: the last level
+    acts against the all-zero table and each level before it against one
+    more sweep.  H+1 levels of more than ``MAX_STAGE_ENTRIES`` entries
+    raise ``ResourceLimitError`` before the first sweep, and a swept
+    value that is not finite raises ``ModelError``."""
+    horizon = _horizon(problem, horizon, "nonstationary extraction")
+    if (horizon + 1) * problem.n_states > MAX_STAGE_ENTRIES:
+        raise ResourceLimitError(
+            f"{horizon + 1} stages of {problem.n_states} states "
+            f"exceed {MAX_STAGE_ENTRIES} policy entries"
+        )
+    u = dict.fromkeys(range(problem.n_states), 0.0)
+    levels = [extract_policy(problem, u)]
+    for _ in range(horizon):
+        u = _finite(problem, _sweep(problem, u))
+        levels.append(extract_policy(problem, u))
+    return levels[::-1]
 
 
 def belief_update(problem: Problem, b: Belief, a: int, o: int) -> Belief:
@@ -565,15 +554,12 @@ def open_loop_expectation(problem: Problem, s0: int, behavior, horizon: int = No
 
     ``behavior`` is a plan (sequence of action indices), a policy mapping
     (missing states fall back to uniform-random), or "uniform".  Returns
-    (expectation, [(probability, total reward), ...]).  A walk that
+    (expectation, [(probability, total reward), ...]); a plan's value is
+    the expectation with ``horizon=len(plan)``.  A walk that
     reaches more than ``MAX_OPEN_LOOP_LEAVES`` scenarios raises
     ``ResourceLimitError`` as it reaches the first one past the cap.
     """
-    if horizon is None:
-        horizon = problem.horizon
-    if horizon is None:
-        raise InvalidConfigError("open-loop enumeration needs a finite horizon")
-    _check_horizon(horizon, "horizon")
+    horizon = _horizon(problem, horizon, "open-loop enumeration")
 
     leaves = []
 
@@ -616,11 +602,7 @@ def closed_loop_value(problem: Problem, s0: int, horizon: int = None) -> float:
     iteration; otherwise the expectimax walks the beliefs reachable under
     the observation model depth first.
     """
-    if horizon is None:
-        horizon = problem.horizon
-    if horizon is None:
-        raise InvalidConfigError("closed-loop evaluation needs a finite horizon")
-    _check_horizon(horizon, "horizon")
+    horizon = _horizon(problem, horizon, "closed-loop evaluation")
     if problem.observations is None:
         return value_iterate(problem, horizon)[s0]
 

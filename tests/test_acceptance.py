@@ -244,10 +244,10 @@ def test_criterion_5_solver_vs_brute_force():
     ok = True
     for _ in range(100):
         p = random_problem(rng, with_terminal=rng.random() < 0.5)
-        table, stages = value_iterate(p, horizon=p.horizon, return_stages=True)
+        table = value_iterate(p, horizon=p.horizon)
         for s in range(p.n_states):
             ok &= close(table[s], oracle_value(p, s, p.horizon + 1), 1e-9)
-        levels = extract_nonstationary(p, stages)
+        levels = extract_nonstationary(p)
         ev = evaluate_policy(p, levels, t=p.horizon)
         for s in range(p.n_states):
             ok &= close(ev[s], table[s], 1e-9)

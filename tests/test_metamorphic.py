@@ -1,25 +1,15 @@
-"""Metamorphic relation: doubling every energy quantity doubles every value.
+"""Metamorphic relations: changes to a generated scenario whose effect on
+every value is known without solving it.
 
-Over generated schema-valid documents with ``time_margin_bonus`` off,
-doubling every segment energy, the battery capacity, initial charge and
-charge rate, every power wattage, every activity load and every terminal
-bonus and penalty must double, exactly: every state's value (so the
-root value) and each applicable strategy's analytic expectation.
-Doubling is exact in binary, so the relation needs no tolerance.  A
-time-margin bonus does not scale, so it is switched off; a bonus or
-penalty left at its default is written out, so that it doubles too.
-
-The compiler rounds battery charge to 6 decimals, and ``round(2 * x, 6)``
-is ``2 * round(x, 6)`` only for ``x`` on that grid: a capacity of
-1207.5198546423644 Wh ends with 1207.519855 Wh, and doubled with
-2415.039709 Wh, not 2415.03971; a 16 W heater over a 1/3 h cool leaves
-94.666667 Wh of 100, and doubled 189.333333, not 189.333334.  So the
-generated energies, wattages, bonuses and penalties are first rounded
-to integers and the durations to quarter hours: every charge is then a
-multiple of 1/4 Wh, on the grid before and after doubling.
+(e) Doubling every energy quantity doubles every value, exactly.
+(a) The value is the probability-weighted mean of the values given each
+    value of any one ground-truth variable (law of total expectation).
+(d) An unreachable waypoint and a region that no segment crosses change
+    no value, exactly.
 """
 import copy
 
+import pytest
 from hypothesis import given, settings
 
 from hadm.errors import HadmError
@@ -28,6 +18,7 @@ from hadm.rover import compile_scenario, load_scenario
 from hadm.rover.spec import RewardConfig
 from hadm.strategies import analytic_expectation, applicable_strategies
 from test_compiler_oracle import MAX_STATES, rover_documents
+from test_strategies_oracle import mission_documents
 
 _BONUSES = ("complete_bonus", "stranded_penalty", "motor_failure_penalty",
             "deadline_missed_penalty")
@@ -63,13 +54,20 @@ def on_grid(doc):
     return doc
 
 
+def compiled_or_error(doc):
+    """``doc`` compiled, or the error type when it does not compile."""
+    try:
+        return compile_scenario(load_scenario(doc), max_states=MAX_STATES)
+    except HadmError as exc:
+        return type(exc)
+
+
 def values(doc):
     """(initial state, state values, {strategy: analytic value or error
     type}), or the error type when the document does not compile."""
-    try:
-        compiled = compile_scenario(load_scenario(doc), max_states=MAX_STATES)
-    except HadmError as exc:
-        return type(exc)
+    compiled = compiled_or_error(doc)
+    if isinstance(compiled, type):
+        return compiled
     analytic = {}
     for name in applicable_strategies(compiled.spec):
         try:
@@ -86,6 +84,26 @@ def twice(x):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(rover_documents())
 def test_doubling_every_energy_doubles_every_value(doc):
+    """(e) Over generated schema-valid documents with ``time_margin_bonus``
+    off, doubling every segment energy, the battery capacity, initial
+    charge and charge rate, every power wattage, every activity load and
+    every terminal bonus and penalty must double, exactly: every state's
+    value (so the root value) and each applicable strategy's analytic
+    expectation.  Doubling is exact in binary, so the relation needs no
+    tolerance.  A time-margin bonus does not scale, so it is switched off;
+    a bonus or penalty left at its default is written out, so that it
+    doubles too.
+
+    The compiler rounds battery charge to 6 decimals, and
+    ``round(2 * x, 6)`` is ``2 * round(x, 6)`` only for ``x`` on that
+    grid: a capacity of 1207.5198546423644 Wh ends with 1207.519855 Wh,
+    and doubled with 2415.039709 Wh, not 2415.03971; a 16 W heater over a
+    1/3 h cool leaves 94.666667 Wh of 100, and doubled 189.333333, not
+    189.333334.  So the generated energies, wattages, bonuses and
+    penalties are first rounded to integers and the durations to quarter
+    hours: every charge is then a multiple of 1/4 Wh, on the grid before
+    and after doubling.
+    """
     defaults = {key: getattr(RewardConfig(), key) for key in _BONUSES}
     doc["reward"] = {**defaults, **doc["reward"], "step_energy": True,
                      "time_margin_bonus": False}
@@ -99,3 +117,50 @@ def test_doubling_every_energy_doubles_every_value(doc):
     assert doubled[1][root] == 2 * table[root]
     assert doubled[1] == {s: 2 * v for s, v in table.items()}
     assert doubled[2] == {name: twice(v) for name, v in analytic.items()}
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(mission_documents())
+def test_value_is_the_mean_of_the_values_given_each_variable(doc):
+    """(a) For every ground-truth variable ``rv`` and every applicable
+    strategy, the analytic value equals the sum over values ``v`` of
+    ``P(v)`` times the analytic value with ``rv`` pinned to ``v``.
+
+    The two sides add the same episode totals in different orders (the
+    enumeration runs in product order over all variables), so they agree
+    only to rounding: exactly on builtin:2-4, and within 5.5e-16
+    relative on ladder k=3 (seed 1).  Hence ``rel=1e-12``.
+    """
+    doc.pop("seeds")
+    compiled = compiled_or_error(doc)
+    if isinstance(compiled, type):
+        return
+    for name in applicable_strategies(compiled.spec):
+        try:
+            whole = analytic_expectation(compiled, name)
+        except HadmError:
+            continue
+        for rv, dist in sorted(compiled.rv_defs.items()):
+            total = sum(p * analytic_expectation(compiled, name, {rv: v})
+                        for v, p in sorted(dist.items()))
+            assert total == pytest.approx(whole, rel=1e-12)
+
+
+def with_irrelevant_additions(doc):
+    """``doc`` plus a waypoint that no segment enters, with a segment out
+    of it, and a region that no segment crosses."""
+    doc = copy.deepcopy(doc)
+    doc["waypoints"].append({"id": "wX"})
+    doc["segments"].append({"id": "sX", "from": "wX", "to": "w0"})
+    doc["regions"].append({"id": "rX", "classes": {"hard": 0.5, "soft": 0.5}})
+    return doc
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(mission_documents())
+def test_unreachable_additions_change_no_value(doc):
+    """(d) The additions of ``with_irrelevant_additions`` leave the state
+    count, every state's value (so the root value) and each applicable
+    strategy's analytic value unchanged, exactly."""
+    doc.pop("seeds")
+    assert values(with_irrelevant_additions(doc)) == values(doc)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from hadm.errors import (
     InadmissibleActionError,
     InvalidConfigError,
     ModelError,
-    NotDeterministicError,
     ResourceLimitError,
 )
 from hadm.model import (
@@ -32,7 +32,6 @@ from hadm.model import (
     extract_nonstationary,
     extract_policy,
     open_loop_expectation,
-    plan_utility,
     point_mass,
     q_value,
     validate_belief,
@@ -230,8 +229,10 @@ class TestProblemValidation:
         lambda p: evaluate_policy(p, {0: 0}, 2.5),
         lambda p: open_loop_expectation(p, 0, "uniform", horizon=-1),
         lambda p: closed_loop_value(p, 0, horizon=1.0),
+        lambda p: extract_nonstationary(p, -1),
+        lambda p: extract_nonstationary(p, [{0: 1.0}]),
     ], ids=["vi-3", "vi-1", "vi-2.5", "vi-True", "eval-1", "eval-2.5",
-            "open-loop-1", "closed-loop-1.0"])
+            "open-loop-1", "closed-loop-1.0", "levels-1", "levels-stages"])
     def test_solver_horizon_is_a_count(self, solve):
         """Every solver reads a horizon as H+1 backups, so it takes only a
         non-negative int; horizon 0 is one backup."""
@@ -244,8 +245,33 @@ class TestProblemValidation:
         )
         assert value_iterate(p).values == {0: 1.0}
         assert evaluate_policy(p, {0: 0}, 0).values == {0: 1.0}
+        assert extract_nonstationary(p)[0].actions == {0: 0}
         with pytest.raises(InvalidConfigError, match="must be a non-negative integer"):
             solve(p)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"epsilon": float("nan")}, "positive finite number, got nan"),
+        ({"epsilon": float("inf")}, "positive finite number, got inf"),
+        ({"epsilon": -1}, "positive finite number, got -1"),
+        ({"epsilon": 0.0}, "positive finite number, got 0.0"),
+        ({"epsilon": True}, "positive finite number, got True"),
+        ({"epsilon": "1e-3"}, "positive finite number, got '1e-3'"),
+        ({"horizon": 2, "epsilon": 1e-3}, "a horizon or an epsilon, not both"),
+    ], ids=["nan", "inf", "-1", "0", "True", "str", "both"])
+    def test_value_iterate_epsilon_is_positive_and_finite(self, kwargs, message):
+        """A residual below ``epsilon`` stops the sweeps, so only a positive
+        finite number means something, and only without a horizon; before,
+        NaN and inf returned the all-zero table and a horizon ignored it."""
+        p = Problem(
+            state_labels=("a",),
+            action_labels=("x",),
+            admissible=((0,),),
+            transitions={(0, 0): ((0, 1.0, 1.0),)},
+            gamma=0.5,
+        )
+        assert value_iterate(p, epsilon=1e-12)[0] == pytest.approx(2.0)
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            value_iterate(p, **kwargs)
 
     @pytest.mark.parametrize("change, message", [
         ({"transitions": {(0, 0): ((2, 1.0, 0.0),), (1, 0): ((1, 1.0, 0.0),)}},
@@ -453,11 +479,12 @@ class TestDeterministicValues:
         assert t[1] == pytest.approx(2.0)
         assert t[2] == 0.0
 
-    def test_plan_utility(self):
+    def test_plan_value_is_its_open_loop_expectation(self):
         p = chain_problem()
-        assert plan_utility(p, 0, [0, 0]) == pytest.approx(3.0)
+        value, _ = open_loop_expectation(p, 0, [0, 0], horizon=2)
+        assert value == pytest.approx(3.0)
 
-    def test_plan_utility_discounts_like_the_open_loop_expectation(self):
+    def test_plan_value_discounts_first_step_first(self):
         rng = random.Random(11)
         for _ in range(50):
             n = rng.randint(2, 6)
@@ -474,13 +501,14 @@ class TestDeterministicValues:
                 gamma=round(rng.uniform(0.1, 0.95), 2),
             )
             plan = [rng.randrange(m) for _ in range(rng.randint(1, 8))]
+            # r0 + gamma * (r1 + gamma * (r2 + ...)), summed first step first.
+            s, total, disc = 0, 0.0, 1.0
+            for a in plan:
+                (s, _, r), = transitions[(s, a)]
+                total += disc * r
+                disc *= p.gamma
             value, _ = open_loop_expectation(p, 0, plan, horizon=len(plan))
-            assert plan_utility(p, 0, plan) == value
-
-    def test_plan_utility_rejects_stochastic(self):
-        p = coin_problem()
-        with pytest.raises(NotDeterministicError):
-            plan_utility(p, 0, [0])
+            assert value == total
 
     def test_transition_rewards_in_expectation(self):
         p = coin_problem()
@@ -510,8 +538,8 @@ class TestSolverOracles:
         rng = random.Random(99)
         for _ in range(50):
             p = random_problem(rng)
-            t, stages = value_iterate(p, horizon=p.horizon, return_stages=True)
-            levels = extract_nonstationary(p, stages)
+            t = value_iterate(p, horizon=p.horizon)
+            levels = extract_nonstationary(p)
             ev = evaluate_policy(p, levels, t=p.horizon)
             for s in range(p.n_states):
                 assert ev[s] == pytest.approx(t[s], abs=1e-9)
@@ -974,8 +1002,16 @@ def dispatch_cases(draw):
     return problem, horizon
 
 
-def value_bits(table):
-    return [(s, v.hex()) for s, v in table.values.items()]
+def value_bits(values):
+    return [(s, v.hex()) for s, v in values.items()]
+
+
+def swept(problem, horizon):
+    """H+1 sweeps from the all-zero table: a horizon-H value by definition."""
+    u = dict.fromkeys(range(problem.n_states), 0.0)
+    for _ in range(horizon + 1):
+        u = hadm.model._sweep(problem, u)
+    return u
 
 
 class TestSolverDispatch:
@@ -984,8 +1020,7 @@ class TestSolverDispatch:
     def test_backward_pass_equals_the_sweeps(self, case):
         p, horizon = case
         table = value_iterate(p, horizon)
-        swept, _ = value_iterate(p, horizon, return_stages=True)
-        assert value_bits(table) == value_bits(swept)
+        assert value_bits(table.values) == value_bits(swept(p, horizon))
         depth = reference_depth(p)
         backward = depth is not None and depth <= horizon + 1
         assert ((table.iterations, table.residual, table.residual_history)
@@ -1004,8 +1039,7 @@ class TestSolverDispatch:
         assert reference_depth(p) is None
         table = value_iterate(p)
         assert table.residual_history
-        swept, _ = value_iterate(p, return_stages=True)
-        assert value_bits(table) == value_bits(swept)
+        assert value_bits(table.values) == value_bits(swept(p, p.horizon))
         # Shuttling wp1 <-> wp2 is free, so the best plan pays for L1 and
         # loiters until the horizon runs out.
         assert table[0] == -(0.4 * 600 + 0.6 * 300)
@@ -1019,8 +1053,8 @@ class TestSolverDispatch:
     def test_stage_tables_are_capped(self):
         p = chain_of(3000)
         assert (p.horizon + 1) * p.n_states > MAX_STAGE_ENTRIES
-        with pytest.raises(ResourceLimitError, match="stage tables"):
-            value_iterate(p, return_stages=True)
+        with pytest.raises(ResourceLimitError, match="stages of 3000 states"):
+            extract_nonstationary(p)
 
     def test_long_chain_is_walked_without_recursion(self):
         table = value_iterate(chain_of(3000))
