@@ -1,10 +1,10 @@
 """Finite decision problems and their solvers.
 
 Holds the generic substrate used by every scenario: tabular MDP/POMDP
-definitions, expected-utility computation, policy evaluation, value
-iteration, greedy policy extraction (stationary, or one rule per level
-by backward induction), Bayesian belief updates, and open-loop vs.
-closed-loop evaluation of fixed behaviors (a plan's value is its
+definitions, the one Bellman backup (``q_value``), policy evaluation,
+value iteration, greedy policy extraction (stationary, or one rule per
+level by backward induction), Bayesian belief updates, and open-loop
+vs. closed-loop evaluation of fixed behaviors (a plan's value is its
 open-loop expectation).
 """
 from __future__ import annotations
@@ -229,16 +229,6 @@ def validate_belief(b: Belief):
     total = sum(probs, 0.0)
     if not abs(total - 1.0) <= PROB_TOL:
         raise ModelError(f"belief sums to {total}, expected 1")
-
-
-def expected_utility(problem: Problem, s: int, a: int, u) -> float:
-    """Expected utility of (s, a): sum over successors of T(s,a,s') * u(s')."""
-    problem.require_admissible(s, a)
-    values = u.values if isinstance(u, ValueTable) else u
-    total = 0.0
-    for s2, p, _ in problem.transitions[(s, a)]:
-        total += p * (values[s2] if s2 in values else _missing(problem, s2))
-    return total
 
 
 def q_value(problem: Problem, s: int, a: int, values: Mapping) -> float:

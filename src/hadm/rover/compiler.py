@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from ..errors import InvalidConfigError, ResourceLimitError
@@ -94,11 +93,9 @@ class CompiledScenario:
 
     ``table`` and ``route_choice`` hold the problem's optimal utilities
     and the ``phm-commit`` route choice once a provider has computed them;
-    later providers on this object reuse them.  ``channel_cache`` holds
-    each state's observation channels once a plant has visited it.
-    ``episode_tries`` holds the episode totals that
-    ``hadm.strategies.episode_total`` has computed, one trie per
-    (strategy, seed or None).
+    later providers on this object reuse them.  ``episode_tries`` holds
+    the episode totals that ``hadm.strategies.episode_total`` has
+    computed, one trie per (strategy, seed or None).
     """
 
     spec: ScenarioSpec
@@ -112,9 +109,6 @@ class CompiledScenario:
     cool_action: Optional[int]  # index of the cool action, if declared
     table: ValueTable = field(default=None, init=False, repr=False, compare=False)
     route_choice: tuple = field(default=None, init=False, repr=False, compare=False)
-    channel_cache: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     episode_tries: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -124,17 +118,10 @@ class CompiledScenario:
             raise InvalidConfigError(f"unknown action {label!r}")
         return self.action_index[label]
 
-    def channels(self, s: int) -> Mapping:
-        """Observation channels exposed by the plant for state ``s``.
-
-        Built on the first request and shared by every later one, so the
-        mapping is read-only.
-        """
-        ch = self.channel_cache.get(s)
-        if ch is None:
-            built = _channels(self.spec, self.states[s], s)
-            ch = self.channel_cache[s] = MappingProxyType(built)
-        return ch
+    def channels(self, s: int) -> dict:
+        """Observation channels exposed by the plant for state ``s``: a
+        new dict on every call, which the caller may keep or change."""
+        return _channels(self.spec, self.states[s], s)
 
     def route_policy(self, route_id: str):
         """(start state, partial state->action policy) for a declared route."""

@@ -10,7 +10,6 @@ the same seed reproduces the trace exactly.
 from __future__ import annotations
 
 import random
-from typing import Mapping
 
 from ..errors import InvalidConfigError
 from .compiler import CompiledScenario
@@ -88,8 +87,8 @@ class Plant:
         self.assignments = assignments
         self.state = compiled.initial_state
 
-    def observe(self) -> Mapping:
-        """The current state's read-only channel mapping."""
+    def observe(self) -> dict:
+        """The current state's channels, as a new dict."""
         return self.compiled.channels(self.state)
 
     def step(self, action: int):

@@ -1,4 +1,5 @@
 """Command-line tests: exit codes, summaries, artifact reproducibility."""
+import io
 import json
 import math
 import time
@@ -672,6 +673,22 @@ class TestArtifactDeterminism:
         lines = [json.loads(x) for x in a.decode().splitlines()]
         assert "total" in lines[-1]
 
+    def test_run_csv_is_the_trace_csv(self, tmp_path, capsys):
+        from hadm.loop import run_loop
+        from hadm.rover import Plant, builtin_scenario, compile_scenario
+        from hadm.strategies import make_provider
+
+        argv = ["run", "--scenario", "builtin:4", "--strategy", "shm-baseline",
+                "--seed", "3", "--format", "csv"]
+        a = self.artifact(tmp_path, "a.csv", argv)
+        compiled = compile_scenario(builtin_scenario(4))
+        trace = run_loop(Plant(compiled, seed=3), compiled.problem,
+                         make_provider("shm-baseline", compiled, seed=3))
+        buf = io.StringIO(newline="")
+        trace.write_csv(buf)
+        assert a.decode("utf-8") == buf.getvalue()
+        assert a.startswith(b"step,most_likely,action,provider,reward,cumulative")
+
     def test_compare_csv_byte_identical(self, tmp_path, capsys):
         argv = ["compare", "--scenario", "builtin:2", "--seed", "11",
                 "--rollouts", "50", "--format", "csv"]
@@ -753,6 +770,14 @@ class TestPredictContent:
         assert float(late[5]) == 5.0  # remaining useful life
         assert lines[3].startswith("rho_star,")
         assert float(lines[3].split(",")[4]) == pytest.approx(0.3)
+
+    def test_zero_spread_leaves_rho_star_unconstrained(self, tmp_path, capsys):
+        scenario = write_degradation(
+            tmp_path, **{**TestPredictExitCodes.BASE, "p_high": 0.0}
+        )
+        assert run_cli(["predict", "--scenario", scenario]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "rho_star,,,,unconstrained,"
 
     def test_distribution_export(self, tmp_path, capsys):
         dist = tmp_path / "dist.csv"

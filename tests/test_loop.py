@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadm.errors import ModelError
+from hadm.errors import InvalidConfigError, ModelError
 from hadm.loop import (
     OfflinePolicyProvider,
     OnlineExpectimaxProvider,
@@ -18,6 +18,7 @@ from hadm.loop import (
     arbitrate,
     belief_summary,
     most_likely_state,
+    observation_index,
     run_loop,
     terminal_mass,
     validate_ser,
@@ -459,6 +460,45 @@ class TestRunLoop:
             trace = run_loop(Plant(), problem, Go())
             assert trace.terminal and trace.total == -1.0
 
+    def test_impossible_observation_aborts(self):
+        """An observation the model gives probability 0 ends the episode
+        with the diagnostic on the trace, in the table and in the JSONL
+        summary line, and records no step."""
+        problem = Problem(
+            state_labels=("start", "end"),
+            action_labels=("go", "stay"),
+            admissible=((0,), (1,)),
+            transitions={(0, 0): ((1, 1.0, -1.0),), (1, 1): ((1, 1.0, 0.0),)},
+            terminal=frozenset({1}),
+            horizon=2,
+            observation_labels=("dark", "light"),
+            observations={(1, 0): ((0, 1.0),)},
+        )
+
+        class Plant:
+            state = 0
+
+            def observe(self):
+                return {"observation_index": 0}
+
+            def step(self, action):
+                self.state = 1
+                return {"observation_index": 1}, -1.0
+
+        class Go:
+            def decide(self, problem, belief, observation, step):
+                return 0
+
+        trace = run_loop(Plant(), problem, Go())
+        message = "observation 'light' has zero probability after action 'go'"
+        assert trace.aborted == message
+        assert not trace.terminal and not trace.truncated
+        assert trace.records == [] and trace.total == 0.0
+        assert trace.to_table().splitlines()[-2] == f"aborted: {message}"
+        buf = io.StringIO()
+        trace.write_jsonl(buf)
+        assert json.loads(buf.getvalue())["aborted"] == message
+
     def test_step_cap_truncates(self, hill):
         class Idler:
             def decide(self, problem, belief, observation, step):
@@ -503,6 +543,50 @@ class TestRunLoop:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0].startswith("step,")
         assert len(lines) == 1 + len(trace.records)
+
+
+def fork_problem():
+    """States ``a`` and ``b`` share the actions ``x`` and ``y``; ``a``
+    prefers ``x`` a little, ``b`` prefers ``y`` a lot, and ``c`` admits
+    only ``z``."""
+    return Problem(
+        state_labels=("a", "b", "c", "end"),
+        action_labels=("x", "y", "z", "stay"),
+        admissible=((0, 1), (0, 1, 2), (2,), (3,)),
+        transitions={
+            (0, 0): ((3, 1.0, 1.0),),
+            (0, 1): ((3, 1.0, 0.0),),
+            (1, 0): ((3, 1.0, 0.0),),
+            (1, 1): ((3, 1.0, 5.0),),
+            (1, 2): ((3, 1.0, 9.0),),
+            (2, 2): ((3, 1.0, 0.0),),
+            (3, 3): ((3, 1.0, 0.0),),
+        },
+        terminal=frozenset({3}),
+        horizon=1,
+    )
+
+
+class TestOnlineExpectimaxOnABelief:
+    def test_best_common_action_by_belief_weight(self):
+        p = fork_problem()
+        provider = OnlineExpectimaxProvider(p)
+        assert provider.decide(p, {0: 1.0}, {}, 0) == 0
+        assert provider.decide(p, {1: 1.0}, {}, 0) == 2
+        # z is best at b but inadmissible at a; y outweighs x.
+        assert provider.decide(p, {0: 0.5, 1: 0.5}, {}, 0) == 1
+        assert provider.decide(p, {0: 0.9, 1: 0.1}, {}, 0) == 0
+
+    def test_no_common_action_gives_none(self):
+        p = fork_problem()
+        provider = OnlineExpectimaxProvider(p)
+        assert provider.decide(p, {0: 0.5, 2: 0.5}, {}, 0) is None
+
+
+def test_observation_without_an_index_is_config_error(crater):
+    with pytest.raises(InvalidConfigError, match="neither observation_index "
+                       "nor state_index"):
+        observation_index(crater.problem, {"waypoint": "wp0"})
 
 
 # Belief entries that stress the argmax tie rule: exact zeros (both signs),

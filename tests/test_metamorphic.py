@@ -6,11 +6,15 @@ every value is known without solving it.
     value of any one ground-truth variable (law of total expectation).
 (d) An unreachable waypoint and a region that no segment crosses change
     no value, exactly.
+(b) Reordering the declared waypoints, segments, regions and activities
+    changes no state value, and no analytic value beyond rounding.
+(f) ``hadm``'s analytic value is the root value of ``solve``, to rounding.
 """
 import copy
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadm.errors import HadmError
 from hadm.model import value_iterate
@@ -164,3 +168,71 @@ def test_unreachable_additions_change_no_value(doc):
     strategy's analytic value unchanged, exactly."""
     doc.pop("seeds")
     assert values(with_irrelevant_additions(doc)) == values(doc)
+
+
+def reordered(items, rng):
+    """``items`` shuffled, and rotated by one when the shuffle left them
+    in their own order: most generated lists hold two items, and half
+    their shuffles would test nothing."""
+    order = list(items)
+    rng.shuffle(order)
+    return order[1:] + order[:1] if order == items else order
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(mission_documents(), st.randoms(use_true_random=False))
+def test_declaration_order_changes_no_value(doc, rng):
+    """(b) Reordering ``waypoints``, ``segments``, ``regions`` and
+    ``activities`` only renumbers the compiled states, so it leaves the
+    multiset of state values and the root value unchanged, exactly, and
+    each applicable strategy's analytic value within ``rel=1e-12``.
+    Action indices follow the declaration order, and ``hadm`` breaks an
+    exact Q-value tie toward the lowest index, so after a reordering it
+    may play another action of equal value, whose episode totals add up
+    to the same expectation only to rounding.  (No generated document
+    has shown such a difference yet.)
+
+    ``phm-commit`` is left out.  Its seeded ``"uniform"`` moves draw from
+    the admissible actions sorted by index, so a reordering changes which
+    move a draw picks, and so its episodes: its value changed on 8 of 216
+    generated documents where it applies.
+    """
+    doc.pop("seeds")
+    shuffled = copy.deepcopy(doc)
+    for key in ("waypoints", "segments", "regions", "activities"):
+        shuffled[key] = reordered(shuffled[key], rng)
+    base, other = values(doc), values(shuffled)
+    if isinstance(base, type):
+        assert other == base
+        return
+    (root, table, analytic), (root2, table2, analytic2) = base, other
+    assert table2[root2] == table[root]
+    assert sorted(table2.values()) == sorted(table.values())
+    analytic.pop("phm-commit", None)
+    analytic2.pop("phm-commit", None)
+    assert analytic2.keys() == analytic.keys()
+    for name, value in analytic.items():
+        if isinstance(value, type):
+            assert analytic2[name] == value
+        else:
+            assert analytic2[name] == pytest.approx(value, rel=1e-12)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mission_documents())
+def test_hadm_attains_the_root_value(doc):
+    """(f) ``hadm`` plays the optimal policy, so its analytic value equals
+    the compiled problem's root value.  The enumeration sums episode
+    totals while value iteration backs up the tree, so the two agree only
+    to rounding: within one ulp on ladder k=3.  Hence ``rel=1e-9``.
+
+    It runs 300 examples because few generated documents can show a
+    wrong branch: a plant that takes the mirrored branch of a two-way
+    row changed the value of 4 of 300 generated documents, and this test
+    missed it at 100 examples."""
+    doc.pop("seeds")
+    compiled = compiled_or_error(doc)
+    if isinstance(compiled, type):
+        return
+    root = value_iterate(compiled.problem)[compiled.initial_state]
+    assert analytic_expectation(compiled, "hadm") == pytest.approx(root, rel=1e-9)

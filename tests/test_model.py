@@ -16,6 +16,7 @@ from hadm.cli import main as cli_main
 from hadm.errors import (
     ImpossibleObservationError,
     InadmissibleActionError,
+    IncompleteValueTableError,
     InvalidConfigError,
     ModelError,
     ResourceLimitError,
@@ -28,7 +29,6 @@ from hadm.model import (
     belief_update,
     closed_loop_value,
     evaluate_policy,
-    expected_utility,
     extract_nonstationary,
     extract_policy,
     open_loop_expectation,
@@ -517,10 +517,10 @@ class TestDeterministicValues:
         t = value_iterate(p)
         assert t[0] == pytest.approx(2.0)
 
-    def test_expected_utility(self):
-        p = coin_problem()
-        u = {0: 0.0, 1: 4.0, 2: -8.0}
-        assert expected_utility(p, 0, 0, u) == pytest.approx(0.25 * 4 - 0.75 * 8)
+    def test_backup_names_a_missing_successor(self):
+        with pytest.raises(IncompleteValueTableError,
+                           match="no value for successor 'bad'"):
+            q_value(coin_problem(), 0, 0, {0: 0.0, 1: 0.0})
 
 
 class TestSolverOracles:
@@ -601,6 +601,28 @@ class TestSolverOracles:
         hist = t.residual_history
         for r0, r1 in zip(hist, hist[1:]):
             assert r1 <= r0 * p.gamma + 1e-12
+
+    def test_residual_stopping_defaults_to_1e_9(self):
+        """Without a horizon on the call or the problem, the sweeps stop at
+        the first residual at or below 1e-9; with gamma = 1 they need one."""
+        p = Problem(
+            state_labels=("a", "b"),
+            action_labels=("x", "y"),
+            admissible=((0, 1), (0,)),
+            transitions={
+                (0, 0): ((0, 0.5, 1.0), (1, 0.5, 1.0)),
+                (0, 1): ((1, 1.0, 0.0),),
+                (1, 0): ((0, 1.0, 2.0),),
+            },
+            gamma=0.9,
+        )
+        t = value_iterate(p)
+        assert t.residual <= 1e-9 < t.residual_history[-2]
+        assert t.values == value_iterate(p, epsilon=1e-9).values
+        q = coin_problem()
+        with pytest.raises(InvalidConfigError,
+                           match="residual stopping requires gamma < 1"):
+            value_iterate(q, epsilon=1e-3)
 
     def test_extract_policy_ties_lowest_index(self):
         # The tie rule holds whatever order ``admissible`` lists actions in.

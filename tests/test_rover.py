@@ -371,11 +371,13 @@ class TestPlant:
         assert obs["waypoint"] == "wp0"
         assert obs["battery_wh"] == 1100
 
-    def test_channels_are_built_once_and_read_only(self, crater):
-        a = Plant(crater, seed=0).observe()
-        assert Plant(crater, seed=1).observe() is a
-        with pytest.raises(TypeError):
-            a["battery_wh"] = 0
+    def test_each_observation_is_a_new_dict(self, crater):
+        plant = Plant(crater, seed=0)
+        a, b = plant.observe(), plant.observe()
+        assert a == b and a is not b
+        a["battery_wh"] = 0
+        a["extra"] = 1
+        assert plant.observe() == b
 
 
 def _ladder(k):

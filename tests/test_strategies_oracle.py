@@ -43,7 +43,9 @@ def mission_documents(draw):
     regions = []
     for i in range(draw(st.integers(0, 2))):
         names = draw(st.sampled_from([["hard"], ["hard", "soft"]]))
-        probs = [1.0] if len(names) == 1 else [0.5, 0.5]
+        # Unequal pairs, so that a swapped pair of probabilities shows.
+        probs = [1.0] if len(names) == 1 else draw(
+            st.sampled_from([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]]))
         regions.append({"id": f"r{i}", "classes": dict(zip(names, probs))})
     doc["regions"] = regions
 
@@ -65,7 +67,7 @@ def mission_documents(draw):
     activities = [
         {"id": f"a{i}", "waypoint": draw(st.sampled_from(wps)),
          "duration_h": draw(st.sampled_from([0.5, 1])),
-         "redo_prob": draw(st.sampled_from([0, 0.5]))}
+         "redo_prob": draw(st.sampled_from([0, 0.3, 0.5]))}
         for i in range(draw(st.integers(0, 2)))
     ]
     doc["activities"] = activities
