@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import IO, Mapping
+from typing import IO, Mapping, Sequence
 
 from .errors import (
     ImpossibleObservationError,
@@ -77,21 +77,24 @@ def _horizon(problem, horizon, what):
 class Problem:
     """A finite decision problem.
 
-    ``transitions`` maps each admissible (state, action) pair to one
-    (s', p, r) triple per branch: ``a`` in ``s`` moves to ``s'`` with
-    probability ``p`` and earns ``r``.  An action reward ``R(s, a)`` and
-    an arrival reward ``rho(s, a, s')`` make ``r = R + gamma * rho``.
-    Terminal states absorb: their one action self-loops with zero reward,
-    so every solver values them at 0.  A ``horizon`` of H (None or a
-    non-negative int) means H+1 actions, so its value is H+1 backups
-    from the all-zero table.
+    ``state_labels`` is a sequence of labels, one per state: a tuple when
+    built by hand, or one that formats each label when it is read
+    (``hadm.rover.compile_scenario``).  ``transitions`` maps each
+    admissible (state, action) pair to one (s', p, r) triple per branch:
+    ``a`` in ``s`` moves to ``s'`` with probability ``p`` and earns
+    ``r``.  An action reward ``R(s, a)`` and an arrival reward
+    ``rho(s, a, s')`` make ``r = R + gamma * rho``.
+    Terminal states, given by index in ``terminal``, absorb: their one
+    action self-loops with zero reward, so every solver values them at 0.
+    A ``horizon`` of H (None or a non-negative int) means H+1 actions, so
+    its value is H+1 backups from the all-zero table.
     Observation rows are keyed by (successor, action); with
     ``observations=None`` the problem is fully observable and the
     observation index names the successor state.  Instances are
     validated on construction and immutable afterwards.
     """
 
-    state_labels: tuple
+    state_labels: Sequence
     action_labels: tuple
     admissible: tuple  # per state: tuple of action indices
     transitions: Mapping  # (s, a) -> ((s', p, r), ...)
@@ -113,14 +116,18 @@ class Problem:
             _check_horizon(self.horizon, "horizon", ModelError)
         if self.gamma == 1.0 and self.horizon is None:
             raise ModelError("gamma = 1 requires a bounded horizon")
-        if not self.terminal <= set(range(n)):
-            raise ModelError("terminal set is not a subset of the state space")
         terminal, n_actions = self.terminal, len(self.action_labels)
-        row_of = self.transitions.get
+        if terminal and not (0 <= min(terminal) and max(terminal) < n):
+            raise ModelError("terminal set is not a subset of the state space")
+        row_of, isfinite = self.transitions.get, math.isfinite
         for s, acts in enumerate(self.admissible):
             if s in terminal:
                 if len(acts) != 1:
                     raise ModelError(f"terminal state {s} must have exactly one action")
+                # The absorbing row passes every check below.
+                a = acts[0]
+                if 0 <= a < n_actions and row_of((s, a)) == ((s, 1.0, 0.0),):
+                    continue
             elif len(acts) < 1:
                 raise ModelError(f"non-terminal state {s} has no admissible action")
             for a in acts:
@@ -129,9 +136,24 @@ class Problem:
                 row = row_of((s, a))
                 if row is None:
                     raise ModelError(f"missing transition row for ({s}, {a})")
-                _check_row(row, n, ("s'", "p", "r"), "T({},{},.)", s, a)
+                # ``_check_row``'s checks, inlined for speed; keep the
+                # messages and their order the same as there.
+                total = 0.0
+                for entry in row:
+                    if len(entry) != 3:
+                        raise ModelError(f"T({s},{a},.): entry {entry!r} is not "
+                                         "(s', p, r)")
+                    s2, p = entry[0], entry[1]
+                    if not (0 <= s2 < n):
+                        raise ModelError(f"T({s},{a},.): index {s2} out of range")
+                    if p < -PROB_TOL or p > 1 + PROB_TOL:
+                        raise ModelError(f"T({s},{a},.): probability {p} outside [0, 1]")
+                    total += p
+                if abs(total - 1.0) > PROB_TOL:
+                    raise ModelError(f"T({s},{a},.): probabilities sum to {total}, "
+                                     "expected 1")
                 for s2, _, r in row:
-                    if not math.isfinite(r):
+                    if not isfinite(r):
                         raise ModelError(f"reward non-finite for ({s}, {a}, {s2})")
                 if s in terminal and (len(row) != 1 or row[0][0] != s):
                     raise ModelError(f"terminal state {s} must self-loop")
@@ -194,8 +216,8 @@ class ValueTable:
     def write_csv(self, problem: Problem, fh: IO):
         labels, values = problem.state_labels, self.values
         _write_pairs(fh, ("state", "value"),
-                     ((labels[s], repr(values[s]))
-                      for s in range(len(labels)) if s in values))
+                     ((label, repr(values[s]))
+                      for s, label in enumerate(labels) if s in values))
 
 
 @dataclass
@@ -212,8 +234,8 @@ class Policy:
         labels, names, actions = (problem.state_labels, problem.action_labels,
                                   self.actions)
         _write_pairs(fh, ("state", "action"),
-                     ((labels[s], names[actions[s]])
-                      for s in range(len(labels)) if s in actions))
+                     ((label, names[actions[s]])
+                      for s, label in enumerate(labels) if s in actions))
 
 
 def point_mass(n_states: int, s: int) -> Belief:

@@ -16,8 +16,10 @@ realized per-step rewards match the executed branch exactly.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from operator import eq
 from typing import Mapping, NamedTuple, Optional
 
 from ..errors import InvalidConfigError, ResourceLimitError
@@ -26,6 +28,7 @@ from ..shm import ORDERING
 from .spec import ScenarioSpec
 
 _TOL = 1e-9
+_DIGITS = 6  # decimal places that times, charges and temperatures round to
 
 OK = "ok"
 COMPLETE = "complete"
@@ -37,10 +40,6 @@ STUCK = "stuck"
 # What an action does to the motor temperature in ``_Compiler._step``.
 _HEAT = "heat"
 _COOL = "cool"
-
-
-def _round(x):
-    return round(x, 6)
 
 
 class RoverState(NamedTuple):
@@ -61,22 +60,20 @@ class RoverState(NamedTuple):
     status: str = OK
 
 
-class _Branch(NamedTuple):
-    state: RoverState
-    prob: float
-    assign: Optional[tuple] = None  # (rv name, value) when stochastic
-    energy_wh: float = 0.0
+# ``RoverState`` from a tuple of all seven components, without the
+# keyword handling of its constructor.
+_state = partial(tuple.__new__, RoverState)
 
 
 def _channels(spec: ScenarioSpec, st: RoverState, s: int) -> dict:
     """The observation channels of state ``s``: its components under
     unit-bearing names, its index and whether it is at a charge point.
     The keys, and which values are numbers, depend only on the spec."""
-    built = {"waypoint": st.position, "time_h": _round(st.time_h)}
+    built = {"waypoint": st.position, "time_h": round(st.time_h, _DIGITS)}
     if st.battery_wh is not None:
-        built["battery_wh"] = _round(st.battery_wh)
+        built["battery_wh"] = round(st.battery_wh, _DIGITS)
     if st.temp_c is not None:
-        built["motor_temp_c"] = _round(st.temp_c)
+        built["motor_temp_c"] = round(st.temp_c, _DIGITS)
     built.update((f"science:{a.id}", x) for a, x in zip(spec.activities, st.science))
     built.update((f"terrain:{r.id}", c) for r, c in zip(spec.regions, st.terrain))
     built["status"] = st.status
@@ -87,15 +84,42 @@ def _channels(spec: ScenarioSpec, st: RoverState, s: int) -> dict:
     return built
 
 
+class _Labels(Sequence):
+    """The labels of a compiled scenario's states, each formatted by
+    ``_Compiler.label`` from ``states[s]`` when it is read.  It reads
+    like a tuple of the labels and compares equal to any sequence of the
+    same labels."""
+
+    def __init__(self, label, states: list):
+        self._label, self._states = label, states
+
+    def __len__(self):
+        return len(self._states)
+
+    def __getitem__(self, s):
+        return self._label(self._states[s])
+
+    def __iter__(self):
+        return map(self._label, self._states)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 @dataclass
 class CompiledScenario:
     """A scenario compiled to a Problem plus the labeling metadata.
 
-    ``table`` and ``route_choice`` hold the problem's optimal utilities
-    and the ``phm-commit`` route choice once a provider has computed them;
-    later providers on this object reuse them.  ``episode_tries`` holds
-    the episode totals that ``hadm.strategies.episode_total`` has
-    computed, one trie per (strategy, seed or None).
+    ``states[s]`` is state ``s``'s ``RoverState``; ``problem.state_labels``
+    formats label ``s`` from it each time the label is read, and keeps
+    none.  ``table`` and ``route_choice`` hold the problem's optimal
+    utilities and the ``phm-commit`` route choice once a provider has
+    computed them; later providers on this object reuse them.
+    ``episode_tries`` holds the episode totals that
+    ``hadm.strategies.episode_total`` has computed, one trie per
+    (strategy, seed or None).
     """
 
     spec: ScenarioSpec
@@ -160,25 +184,34 @@ class _Compiler:
         regions = {r.id: i for i, r in enumerate(spec.regions)}
         activities = {a.id: i for i, a in enumerate(spec.activities)}
         self.required = tuple(activities[a] for a in spec.mission.require_activities)
+        self.goal, self.deadline = spec.mission.goal, spec.mission.deadline_h
         # One row per action index: (label, effect, target), where the
         # effect expands a state under the action and the target is the
         # action's Segment or Activity (None for the others).  Each effect
         # is bound to the decoded action: its target, the target's
-        # position in ``RoverState.terrain`` or ``.science``, and its load
-        # in watts.  Per waypoint, ``drives`` lists its drive actions and
-        # ``sciences`` (action, activity position) for its science actions,
-        # in action order.
+        # position in ``RoverState.terrain`` or ``.science``, its load in
+        # watts, and for a drive over unrevealed terrain the branch parts
+        # (p, class, (rv, class)) per class.  Per waypoint, ``drives``
+        # holds its drive actions and ``sciences`` (action, activity
+        # position) for its science actions, in action order.
         self.actions = []
-        self.drives = {wp.id: [] for wp in spec.waypoints}
+        drives = {wp.id: [] for wp in spec.waypoints}
         self.sciences = {wp.id: [] for wp in spec.waypoints}
         drive_w = spec.power.drive_w if spec.power else 0.0
         for seg in spec.segments:
-            self.drives[seg.frm].append(len(self.actions))
-            effect = partial(self._drive, seg, regions.get(seg.region), drive_w)
+            drives[seg.frm].append(len(self.actions))
+            region, reveal = regions.get(seg.region), None
+            if seg.terrain is None and region is not None:
+                rv = f"terrain:{seg.region}"
+                reveal = tuple((p, c, (rv, c))
+                               for c, p in spec.regions[region].classes.items())
+            motor = _HEAT if seg.heats_motor else None
+            effect = partial(self._drive, seg, region, reveal, drive_w, motor)
             self.actions.append((f"drive:{seg.id}", effect, seg))
+        self.drives = {wp: tuple(acts) for wp, acts in drives.items()}
         for i, act in enumerate(spec.activities):
             self.sciences[act.waypoint].append((len(self.actions), i))
-            effect = partial(self._science, act, i)
+            effect = partial(self._science, act, i, f"redo:{act.id}")
             self.actions.append((f"science:{act.id}", effect, act))
         self.charge = self.cool = None
         if spec.actions.allow_charge:
@@ -187,53 +220,62 @@ class _Compiler:
         if spec.actions.cool_grid_h is not None:
             self.cool = len(self.actions)
             self.actions.append(
-                (f"cool:{_round(spec.actions.cool_grid_h)}h", self._cool, None)
+                (f"cool:{round(spec.actions.cool_grid_h, _DIGITS)}h", self._cool, None)
             )
         self.stay = len(self.actions)  # no effect: compile records its rows
         self.actions.append(("stay", None, None))
+        self.absorb = (self.stay,)  # the actions of every absorbing state
         # Label parts: "|id=" per activity, "|id=class" per region and class.
         self.science_keys = tuple(f"|{a.id}=" for a in spec.activities)
         self.terrain_parts = tuple(
             {c: f"|{r.id}={c or '?'}" for c in (None, *r.classes)}
             for r in spec.regions)
 
-    def initial_state(self) -> RoverState:
+    def initial_state(self):
+        """The mission's start state and its actions."""
         spec = self.spec
-        return RoverState(
-            position=spec.mission.start,
-            time_h=0.0,
-            battery_wh=spec.battery.initial_wh if spec.battery else None,
-            temp_c=spec.thermal.nominal_c if spec.thermal else None,
-            science=("todo",) * len(spec.activities),
-            terrain=(None,) * len(spec.regions),
+        return self._arrive(
+            spec.mission.start, 0.0,
+            spec.battery.initial_wh if spec.battery else None,
+            spec.thermal.nominal_c if spec.thermal else None,
+            ("todo",) * len(spec.activities), (None,) * len(spec.regions), OK,
         )
 
     def label(self, st: RoverState) -> str:
         """The state's label: its components, rounded, joined by "|"."""
-        out = f"{st.position}|t={_round(st.time_h)}"
-        if st.battery_wh is not None:
-            out += f"|b={_round(st.battery_wh)}"
-        if st.temp_c is not None:
-            out += f"|T={_round(st.temp_c)}"
-        out += "".join(map(str.__add__, self.science_keys, st.science))
-        out += "".join(map(dict.__getitem__, self.terrain_parts, st.terrain))
-        return out if st.status == OK else f"{out}|{st.status}"
+        position, time_h, battery_wh, temp_c, science, terrain, status = st
+        out = f"{position}|t={round(time_h, _DIGITS)}"
+        if battery_wh is not None:
+            out += f"|b={round(battery_wh, _DIGITS)}"
+        if temp_c is not None:
+            out += f"|T={round(temp_c, _DIGITS)}"
+        if science:
+            out += "".join(map(str.__add__, self.science_keys, science))
+        out += "".join(map(dict.__getitem__, self.terrain_parts, terrain))
+        return out if status == OK else f"{out}|{status}"
 
-    def finalize(self, st: RoverState) -> RoverState:
-        """Classify a fresh state: completion, deadline, or a dead end."""
-        if st.status != OK:
-            return st
-        m = self.spec.mission
-        if st.position == m.goal and all(
-                st.science[i] == "done" for i in self.required):
-            if m.deadline_h is None or st.time_h <= m.deadline_h + _TOL:
-                return RoverState(*st[:-1], COMPLETE)
-        if m.deadline_h is not None and st.time_h >= m.deadline_h - _TOL:
-            return RoverState(*st[:-1], DEADLINE_MISSED)
-        # A dead end with the mission incomplete absorbs as "stuck".
-        if not self.admissible_actions(st):
-            return RoverState(*st[:-1], STUCK)
-        return st
+    def _arrive(self, position, time_h, battery_wh, temp_c, science, terrain, status):
+        """The state these components make, classified once, and its
+        actions.  An ``ok`` state that completes the mission, reaches the
+        deadline or is a dead end absorbs, and an absorbing state's one
+        action is ``stay``."""
+        if status == OK:
+            deadline, required = self.deadline, self.required
+            if (position == self.goal
+                    and (not required or all(science[i] == "done" for i in required))
+                    and (deadline is None or time_h <= deadline + _TOL)):
+                status = COMPLETE
+            elif deadline is not None and time_h >= deadline - _TOL:
+                status = DEADLINE_MISSED
+            else:
+                acts = self._actions(position, time_h, battery_wh, science)
+                if acts:
+                    return _state((position, time_h, battery_wh, temp_c, science,
+                                   terrain, OK)), acts
+                # A dead end with the mission incomplete absorbs as "stuck".
+                status = STUCK
+        return (_state((position, time_h, battery_wh, temp_c, science, terrain,
+                        status)), self.absorb)
 
     def terminal_value(self, st: RoverState) -> float:
         rc = self.spec.reward
@@ -260,24 +302,26 @@ class _Compiler:
 
     # Action expansion ----------------------------------------------------
 
-    def admissible_actions(self, st: RoverState):
+    def _actions(self, position, time_h, battery_wh, science):
         """The actions of an ``ok`` state, in action order."""
-        out = list(self.drives[st.position])
-        out += [a for a, i in self.sciences[st.position] if st.science[i] != "done"]
-        if self.charge is not None and self._charge_hours(st) is not None:
-            out.append(self.charge)
+        acts = self.drives[position]
+        sciences = self.sciences[position]
+        if sciences:
+            acts += tuple(a for a, i in sciences if science[i] != "done")
+        if (self.charge is not None
+                and self._charge_hours(position, time_h, battery_wh) is not None):
+            acts += (self.charge,)
         if self.cool is not None:
-            out.append(self.cool)
-        return out
+            acts += (self.cool,)
+        return acts
 
-    def _step(self, st, hours, watts, energy_wh=None, motor=None,
-              position=None, science=None, terrain=None):
+    def _step(self, st, hours, watts, energy_wh, motor, position, science, terrain):
         """``st`` after an action of ``hours`` that draws ``watts``, moved to
-        ``position`` and with ``science`` and ``terrain`` where they are
-        given: the one place where time, battery and motor temperature
-        advance.
+        ``position`` with ``science`` and ``terrain``, as ``_arrive``
+        returns it: the one place where time, battery and motor
+        temperature advance.
 
-        The battery pays ``energy_wh`` when it is given, is integrated
+        The battery pays ``energy_wh`` when it is not None, is integrated
         over the sunlit and dark parts of the action under a ``power``
         section, and is otherwise only rounded (a cool leaves it as it
         is).  ``motor`` is ``_HEAT``, ``_COOL`` or None.  A battery below
@@ -289,7 +333,7 @@ class _Compiler:
         if b is not None:
             cap = spec.battery.capacity_wh
             if energy_wh is not None:
-                b = _round(min(b - energy_wh, cap))
+                b = round(min(b - energy_wh, cap), _DIGITS)
                 if b < -_TOL:
                     status = STRANDED
             elif spec.power is not None:
@@ -308,9 +352,9 @@ class _Compiler:
                         status = STRANDED
                     elif b > cap:
                         b = cap
-                b = _round(b)
+                b = round(b, _DIGITS)
             elif motor != _COOL:
-                b = _round(min(b, cap))
+                b = round(min(b, cap), _DIGITS)
         temp = st.temp_c
         if temp is not None and motor is not None:
             th = spec.thermal
@@ -320,77 +364,80 @@ class _Compiler:
                     status = MOTOR_FAILURE
             else:
                 temp = max(th.nominal_c, float(temp) - th.cool_rate_c_per_h * hours)
-            temp = _round(temp)
-        return RoverState(st.position if position is None else position,
-                          _round(st.time_h + hours), b, temp, science or st.science,
-                          terrain or st.terrain, status)
+            temp = round(temp, _DIGITS)
+        return self._arrive(position, round(st.time_h + hours, _DIGITS), b, temp,
+                            science, terrain, status)
 
-    def _charge_hours(self, st):
-        """Hours to charge to full from ``st``; None where charging is not
-        admissible: no charger or charge rate, a full battery, or a charge
-        that would end after sunset."""
+    def _charge_hours(self, position, time_h, battery_wh):
+        """Hours to charge to full; None where charging is not admissible:
+        no charger or charge rate, a full battery, or a charge that would
+        end after sunset."""
         spec, battery = self.spec, self.spec.battery
         if not (
             battery and battery.charge_rate_w
-            and spec.waypoint(st.position).charge_point
-            and st.battery_wh < battery.capacity_wh - _TOL
+            and spec.waypoint(position).charge_point
+            and battery_wh < battery.capacity_wh - _TOL
         ):
             return None
-        hours = (battery.capacity_wh - st.battery_wh) / battery.charge_rate_w
-        if spec.power is None or st.time_h + hours <= spec.power.sunlight_until_h:
+        hours = (battery.capacity_wh - battery_wh) / battery.charge_rate_w
+        if spec.power is None or time_h + hours <= spec.power.sunlight_until_h:
             return hours
         return None
 
-    def _drive(self, seg, region, watts, st):
+    # Each effect returns its branches as ((state, actions), p, assign,
+    # energy_wh) tuples: ``_arrive``'s pair, the branch probability, the
+    # (rv name, value) it stands for (None when deterministic) and the
+    # energy it spends.
+
+    def _drive(self, seg, region, reveal, watts, motor, st):
         """One branch per terrain class the drive may reveal."""
-        if seg.terrain is not None or region is None:
-            branches = [(1.0, seg.terrain, None, st.terrain)]
-        elif st.terrain[region] is not None:
-            branches = [(1.0, st.terrain[region], None, st.terrain)]
+        terrain = st.terrain
+        if reveal is None:
+            reveal = ((1.0, seg.terrain, None),)
+        elif terrain[region] is not None:
+            reveal = ((1.0, terrain[region], None),)
         else:
-            rv = f"terrain:{seg.region}"
-            classes = self.spec.regions[region].classes
-            before, after = st.terrain[:region], st.terrain[region + 1:]
-            branches = [(p, c, (rv, c), before + (c,) + after)
-                        for c, p in classes.items()]
-        motor = _HEAT if seg.heats_motor else None
-        out = []
-        for prob, cls, assign, terrain in branches:
+            before, after = terrain[:region], terrain[region + 1:]
+        energies, out = seg.energy_wh, []
+        for p, c, assign in reveal:
             energy = None
-            if seg.energy_wh is not None:
-                if cls not in seg.energy_wh:
+            if energies is not None:
+                if c not in energies:
                     raise InvalidConfigError(
-                        f"segment {seg.id!r} has no energy for terrain {cls!r}"
+                        f"segment {seg.id!r} has no energy for terrain {c!r}"
                     )
-                energy = seg.energy_wh[cls]
-            nxt = self._step(st, seg.duration_h, watts, energy, motor,
-                             position=seg.to, terrain=terrain)
-            out.append(_Branch(nxt, prob, assign, 0.0 if energy is None else energy))
+                energy = energies[c]
+            if assign is not None:  # a reveal writes its class into the terrain
+                terrain = before + (c,) + after
+            out.append((self._step(st, seg.duration_h, watts, energy, motor, seg.to,
+                                   st.science, terrain),
+                        p, assign, 0.0 if energy is None else energy))
         return out
 
-    def _science(self, act, i, st):
+    def _science(self, act, i, rv, st):
+        """The activity done, and redone with ``act.redo_prob`` unless this
+        run is the redo."""
         before, after = st.science[:i], st.science[i + 1:]
-        done = self._step(st, act.duration_h, act.load_w,
-                          science=before + ("done",) + after)
+        done = self._step(st, act.duration_h, act.load_w, None, None, st.position,
+                          before + ("done",) + after, st.terrain)
         if st.science[i] == "redo" or act.redo_prob <= 0.0:
-            return [_Branch(done, 1.0)]
-        rv = f"redo:{act.id}"
-        redo = RoverState(done.position, done.time_h, done.battery_wh, done.temp_c,
-                          before + ("redo",) + after, done.terrain, done.status)
-        return [
-            _Branch(done, 1.0 - act.redo_prob, (rv, "false")),
-            _Branch(redo, act.redo_prob, (rv, "true")),
-        ]
+            return [(done, 1.0, None, 0.0)]
+        redo = self._step(st, act.duration_h, act.load_w, None, None, st.position,
+                          before + ("redo",) + after, st.terrain)
+        return [(done, 1.0 - act.redo_prob, (rv, "false"), 0.0),
+                (redo, act.redo_prob, (rv, "true"), 0.0)]
 
     def _charge(self, st):
-        nxt = RoverState(st.position, _round(st.time_h + self._charge_hours(st)),
-                         self.spec.battery.capacity_wh, st.temp_c, st.science,
-                         st.terrain)
-        return [_Branch(nxt, 1.0)]
+        hours = self._charge_hours(st.position, st.time_h, st.battery_wh)
+        return [(self._arrive(st.position, round(st.time_h + hours, _DIGITS),
+                               self.spec.battery.capacity_wh, st.temp_c, st.science,
+                               st.terrain, OK),
+                 1.0, None, 0.0)]
 
     def _cool(self, st):
-        nxt = self._step(st, self.spec.actions.cool_grid_h, 0.0, motor=_COOL)
-        return [_Branch(nxt, 1.0)]
+        return [(self._step(st, self.spec.actions.cool_grid_h, 0.0, None, _COOL,
+                             st.position, st.science, st.terrain),
+                 1.0, None, 0.0)]
 
 
 def _check_action_labels(spec: ScenarioSpec, action_index: Mapping):
@@ -471,57 +518,52 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
     comp = _Compiler(spec)
     action_index = {label: a for a, (label, _, _) in enumerate(comp.actions)}
     _check_action_labels(spec, action_index)
-    s0 = comp.finalize(comp.initial_state())
+    s0, acts0 = comp.initial_state()
     _check_channels(spec, _channels(spec, s0, 0))
-    states = [s0]
-    index = {s0: 0}
-    admissible = []
+    # ``admissible[s]`` is stored with state ``s``, from the classification
+    # that built it; the walk reads it back when it reaches ``s``.
+    states, admissible, index = [s0], [acts0], {s0: 0}
     transitions = {}
     outcomes = {}
     terminal = set()
-    stay = (comp.stay,)
+    stay = comp.stay
     effects = [effect for _, effect, _ in comp.actions]
-    finalize, step_energy = comp.finalize, spec.reward.step_energy
+    terminal_value, step_energy = comp.terminal_value, spec.reward.step_energy
 
     for s, st in enumerate(states):  # grows while it is walked
         if st.status != OK:
-            admissible.append(stay)
-            transitions[(s, comp.stay)] = ((s, 1.0, 0.0),)
+            transitions[(s, stay)] = ((s, 1.0, 0.0),)
             terminal.add(s)
             continue
-        acts = tuple(comp.admissible_actions(st))
-        admissible.append(acts)
-        for a in acts:
+        for a in admissible[s]:
             branches = effects[a](st)
             rows = []
-            for br in branches:
-                nxt = finalize(br.state)
-                s2 = index.setdefault(nxt, len(states))
-                if s2 == len(states):
-                    if s2 >= max_states:
+            for (nxt, acts), p, _, energy in branches:
+                n = len(states)
+                s2 = index.setdefault(nxt, n)
+                if s2 == n:
+                    if n >= max_states:
                         raise ResourceLimitError(
                             f"compiled state count exceeded {max_states} "
                             f"(growing dimension near {comp.label(nxt)!r})"
                         )
                     states.append(nxt)
-                r = 0.0
-                if step_energy:
-                    r -= br.energy_wh
+                    admissible.append(acts)
+                r = 0.0 - energy if step_energy else 0.0
                 if nxt.status != OK:
-                    r += comp.terminal_value(nxt)
-                rows.append((s2, br.prob, r))
-            key = (s, a)
-            transitions[key] = tuple(rows)
-            if branches[0].assign is not None:
-                outcomes[key] = (branches[0].assign[0],
-                                 tuple(br.assign[1] for br in branches))
+                    r += terminal_value(nxt)
+                rows.append((s2, p, r))
+            transitions[(s, a)] = tuple(rows)
+            assign = branches[0][2]
+            if assign is not None:
+                outcomes[(s, a)] = (assign[0], tuple(br[2][1] for br in branches))
 
     rv_defs = {}
     for key, (rv, values) in outcomes.items():
         if rv not in rv_defs:
             rv_defs[rv] = {v: p for v, (_, p, _) in zip(values, transitions[key])}
     problem = Problem(
-        state_labels=tuple(map(comp.label, states)),
+        state_labels=_Labels(comp.label, states),
         action_labels=tuple(label for label, _, _ in comp.actions),
         admissible=tuple(admissible),
         transitions=transitions,

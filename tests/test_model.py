@@ -299,9 +299,20 @@ class TestProblemValidation:
         ({"terminal": frozenset({1}),
           "transitions": {(0, 0): ((1, 1.0, 0.0),), (1, 0): ((0, 1.0, 0.0),)}},
          "terminal state 1 must self-loop"),
+        ({"terminal": frozenset({1}), "admissible": ((0,), (1,)),
+          "transitions": {(0, 0): ((1, 1.0, 0.0),), (1, 1): ((1, 1.0, 0.0),)}},
+         "action index 1 out of range at state 1"),
+        ({"terminal": frozenset({1}), "admissible": ((0,), (-1,)),
+          "transitions": {(0, 0): ((1, 1.0, 0.0),), (1, -1): ((1, 1.0, 0.0),)}},
+         "action index -1 out of range at state 1"),
+        ({"terminal": frozenset({1, 2})},
+         "terminal set is not a subset of the state space"),
+        ({"terminal": frozenset({-1, 1})},
+         "terminal set is not a subset of the state space"),
     ], ids=["T-index", "T-probability", "T-sum", "T-pair", "T-arity",
             "O-triple", "O-index", "O-probability", "O-sum", "missing-row",
-            "terminal-self-loop"])
+            "terminal-self-loop", "terminal-action", "terminal-action-negative",
+            "terminal-past-the-end", "terminal-negative"])
     def test_row_check_messages(self, change, message):
         """Each row check raises with its exact message."""
         fields = dict(
@@ -316,6 +327,37 @@ class TestProblemValidation:
         with pytest.raises(ModelError) as err:
             Problem(**{**fields, **change})
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("row, message", [
+        (((1, True, 0),), None),
+        ([(1, 1.0, 0.0)], None),
+        (((1, 1.0, -0.0),), None),
+        (((1, 1.0, 1.0),), "terminal state 1 must absorb with zero reward"),
+        (((2, 1.0, 0.0),), "terminal state 1 must self-loop"),
+        (((1, 0.5, 0.0), (1, 0.5, 0.0)), "terminal state 1 must self-loop"),
+        (((1, 1.0, math.nan),), "reward non-finite for (1, 1, 1)"),
+        (((1, 1.0),), "T(1,1,.): entry (1, 1.0) is not (s', p, r)"),
+    ], ids=["bool-int", "list", "minus-zero", "reward", "elsewhere", "two-branches",
+            "nan", "pair"])
+    def test_terminal_row_checks(self, row, message):
+        """A terminal row equal to ``((s, 1.0, 0.0),)`` is accepted in one
+        comparison; every other row takes the full checks, with the
+        results and messages they gave before that comparison existed."""
+        fields = dict(
+            state_labels=("a", "b", "c"),
+            action_labels=("go", "stay"),
+            admissible=((0,), (1,), (1,)),
+            transitions={(0, 0): ((1, 1.0, 0.0),), (1, 1): row,
+                         (2, 1): ((2, 1.0, 0.0),)},
+            terminal=frozenset({1, 2}),
+            horizon=2,
+        )
+        if message is None:
+            assert Problem(**fields).transitions[(1, 1)] is row
+        else:
+            with pytest.raises(ModelError) as err:
+                Problem(**fields)
+            assert str(err.value) == message
 
     def test_inadmissible_action_raises(self):
         p = chain_problem()

@@ -22,6 +22,7 @@ from hadm.rover import (
     resolve_overrides,
     validate_scenario_dict,
 )
+from hadm.rover.compiler import _Compiler
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +283,29 @@ class TestCompilation:
             "compiled state count exceeded 100 "
             "(growing dimension near 'h4|t=8.0|T=60|sci2=todo')"
         )
+
+    @pytest.mark.parametrize("load", [
+        pytest.param(lambda: builtin_scenario(2), id="builtin:2"),
+        pytest.param(lambda: builtin_scenario(3), id="builtin:3"),
+        pytest.param(lambda: builtin_scenario(4), id="builtin:4"),
+        pytest.param(lambda: _ladder(4), id="ladder-k4"),
+    ])
+    def test_state_labels_read_like_a_tuple(self, load):
+        """``state_labels`` formats each label when it is read: it equals
+        the labels ``_Compiler.label`` gives the states, reads like their
+        tuple, and two compiles of one document give equal problems."""
+        spec = load()
+        compiled = compile_scenario(spec)
+        labels = compiled.problem.state_labels
+        want = tuple(map(_Compiler(spec).label, compiled.states))
+        assert labels == want and want == labels and labels == list(want)
+        assert labels != want[:-1] and labels != (*want[:-1], "other")
+        assert len(labels) == len(want) == compiled.problem.n_states
+        assert tuple(labels) == want
+        assert (labels[0], labels[-1]) == (want[0], want[-1])
+        with pytest.raises(IndexError):
+            labels[len(want)]
+        assert compile_scenario(spec).problem == compiled.problem
 
     def test_prognostics_scenario_does_not_compile(self):
         with pytest.raises(InvalidConfigError):
