@@ -116,10 +116,10 @@ class Problem:
             _check_horizon(self.horizon, "horizon", ModelError)
         if self.gamma == 1.0 and self.horizon is None:
             raise ModelError("gamma = 1 requires a bounded horizon")
-        terminal, n_actions = self.terminal, len(self.action_labels)
-        if terminal and not (0 <= min(terminal) and max(terminal) < n):
+        if not self.terminal <= set(range(n)):
             raise ModelError("terminal set is not a subset of the state space")
-        row_of, isfinite = self.transitions.get, math.isfinite
+        terminal, n_actions = self.terminal, len(self.action_labels)
+        row_of = self.transitions.get
         for s, acts in enumerate(self.admissible):
             if s in terminal:
                 if len(acts) != 1:
@@ -136,24 +136,9 @@ class Problem:
                 row = row_of((s, a))
                 if row is None:
                     raise ModelError(f"missing transition row for ({s}, {a})")
-                # ``_check_row``'s checks, inlined for speed; keep the
-                # messages and their order the same as there.
-                total = 0.0
-                for entry in row:
-                    if len(entry) != 3:
-                        raise ModelError(f"T({s},{a},.): entry {entry!r} is not "
-                                         "(s', p, r)")
-                    s2, p = entry[0], entry[1]
-                    if not (0 <= s2 < n):
-                        raise ModelError(f"T({s},{a},.): index {s2} out of range")
-                    if p < -PROB_TOL or p > 1 + PROB_TOL:
-                        raise ModelError(f"T({s},{a},.): probability {p} outside [0, 1]")
-                    total += p
-                if abs(total - 1.0) > PROB_TOL:
-                    raise ModelError(f"T({s},{a},.): probabilities sum to {total}, "
-                                     "expected 1")
+                _check_row(row, n, ("s'", "p", "r"), "T({},{},.)", s, a)
                 for s2, _, r in row:
-                    if not isfinite(r):
+                    if not math.isfinite(r):
                         raise ModelError(f"reward non-finite for ({s}, {a}, {s2})")
                 if s in terminal and (len(row) != 1 or row[0][0] != s):
                     raise ModelError(f"terminal state {s} must self-loop")

@@ -87,16 +87,19 @@ def _channels(spec: ScenarioSpec, st: RoverState, s: int) -> dict:
 class _Labels(Sequence):
     """The labels of a compiled scenario's states, each formatted by
     ``_Compiler.label`` from ``states[s]`` when it is read.  It reads
-    like a tuple of the labels and compares equal to any sequence of the
+    like a tuple of the labels: a slice is a tuple of labels, and its
+    ``repr`` is the tuple's.  It compares equal to any sequence of the
     same labels."""
 
-    def __init__(self, label, states: list):
+    def __init__(self, label, states: tuple):
         self._label, self._states = label, states
 
     def __len__(self):
         return len(self._states)
 
     def __getitem__(self, s):
+        if isinstance(s, slice):
+            return tuple(map(self._label, self._states[s]))
         return self._label(self._states[s])
 
     def __iter__(self):
@@ -106,6 +109,9 @@ class _Labels(Sequence):
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self):
+        return repr(tuple(self))
 
 
 @dataclass
@@ -124,7 +130,7 @@ class CompiledScenario:
 
     spec: ScenarioSpec
     problem: Problem
-    states: list
+    states: tuple
     initial_state: int
     rv_defs: dict  # rv name -> {value: probability}
     outcomes: dict  # stochastic (s, a) -> (rv, value per transitions row)
@@ -562,6 +568,7 @@ def compile_scenario(spec: ScenarioSpec, max_states: int = 10**6) -> CompiledSce
     for key, (rv, values) in outcomes.items():
         if rv not in rv_defs:
             rv_defs[rv] = {v: p for v, (_, p, _) in zip(values, transitions[key])}
+    states = tuple(states)
     problem = Problem(
         state_labels=_Labels(comp.label, states),
         action_labels=tuple(label for label, _, _ in comp.actions),

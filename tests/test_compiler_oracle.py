@@ -146,7 +146,7 @@ def compiled_facts(compile_fn, spec):
         return repr((type(exc), str(exc)))
     p = c.problem
     return repr((
-        tuple(p.state_labels), p.action_labels, p.admissible, p.transitions,
+        p.state_labels, p.action_labels, p.admissible, p.transitions,
         sorted(p.terminal), p.horizon,
         c.initial_state, c.outcomes, c.rv_defs, c.action_index, c.targets,
         c.cool_action, [dict(c.channels(s)) for s in range(p.n_states)],

@@ -309,10 +309,15 @@ class TestProblemValidation:
          "terminal set is not a subset of the state space"),
         ({"terminal": frozenset({-1, 1})},
          "terminal set is not a subset of the state space"),
+        ({"terminal": frozenset({0.5})},
+         "terminal set is not a subset of the state space"),
+        ({"terminal": frozenset({"b"})},
+         "terminal set is not a subset of the state space"),
     ], ids=["T-index", "T-probability", "T-sum", "T-pair", "T-arity",
             "O-triple", "O-index", "O-probability", "O-sum", "missing-row",
             "terminal-self-loop", "terminal-action", "terminal-action-negative",
-            "terminal-past-the-end", "terminal-negative"])
+            "terminal-past-the-end", "terminal-negative", "terminal-fraction",
+            "terminal-label"])
     def test_row_check_messages(self, change, message):
         """Each row check raises with its exact message."""
         fields = dict(

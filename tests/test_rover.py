@@ -293,7 +293,8 @@ class TestCompilation:
     def test_state_labels_read_like_a_tuple(self, load):
         """``state_labels`` formats each label when it is read: it equals
         the labels ``_Compiler.label`` gives the states, reads like their
-        tuple, and two compiles of one document give equal problems."""
+        tuple (slices and ``repr`` too), and two compiles of one document
+        give equal problems."""
         spec = load()
         compiled = compile_scenario(spec)
         labels = compiled.problem.state_labels
@@ -303,6 +304,8 @@ class TestCompilation:
         assert len(labels) == len(want) == compiled.problem.n_states
         assert tuple(labels) == want
         assert (labels[0], labels[-1]) == (want[0], want[-1])
+        assert labels[1:3] == want[1:3] and labels[::-1] == want[::-1]
+        assert repr(labels) == repr(want)
         with pytest.raises(IndexError):
             labels[len(want)]
         assert compile_scenario(spec).problem == compiled.problem
