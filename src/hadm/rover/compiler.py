@@ -160,6 +160,11 @@ class CompiledScenario:
         return self.initial_state, self.route_policies[route_id]
 
     @cached_property
+    def plan(self) -> tuple:
+        """The nominal plan as action indices."""
+        return tuple(map(self.action, self.spec.nominal_plan))
+
+    @cached_property
     def route_policies(self) -> dict:
         """Route id -> the route's moves as a state -> action policy."""
         return {r.id: self._move_policy(r.moves) for r in self.spec.routes}

@@ -338,6 +338,13 @@ def load_scenario(doc: dict) -> ScenarioSpec:
             raise InvalidConfigError(
                 f"region {r.id!r} terrain probabilities sum to {total}"
             )
+    for r in spec.regions:
+        for c, p in r.classes.items():
+            if not 0.0 <= p <= 1.0:
+                raise InvalidConfigError(
+                    f"region {r.id!r} terrain class {c!r} probability {p!r} "
+                    f"is not in [0, 1]"
+                )
     battery = spec.battery
     if battery is not None:
         if battery.capacity_wh <= 0 or battery.initial_wh < 0:
@@ -411,12 +418,15 @@ def _cross_check(spec: ScenarioSpec):
 
 
 def _check_non_negative(spec: ScenarioSpec):
-    """Durations and thermal rates only move time and temperature forward,
-    so motor temperatures stay at or above nominal: the compiler floors a
-    cool at nominal, and a heating step needs no floor."""
+    """Durations, thermal rates and the charge rate only move time and
+    temperature forward, so motor temperatures stay at or above nominal:
+    the compiler floors a cool at nominal, and a heating step needs no
+    floor."""
     values = [(f"segment {s.id!r} duration_h", s.duration_h) for s in spec.segments]
     values += [(f"activity {a.id!r} duration_h", a.duration_h) for a in spec.activities]
     values.append(("actions.cool_grid_h", spec.actions.cool_grid_h))
+    if spec.battery is not None:
+        values.append(("battery.charge_rate_w", spec.battery.charge_rate_w))
     if spec.thermal is not None:
         values.append(("thermal.heat_rate_c_per_h", spec.thermal.heat_rate_c_per_h))
         values.append(("thermal.cool_rate_c_per_h", spec.thermal.cool_rate_c_per_h))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import NamedTuple, Optional
 
 from .errors import EscalationRequired, InvalidConfigError, ResourceLimitError
 from .loop import OnlineExpectimaxProvider, most_likely_state, run_loop
@@ -56,56 +57,60 @@ class HadmProvider(OnlineExpectimaxProvider):
         return spec.kind == "rover"
 
 
-class FixedPlanProvider:
-    """Plays the nominal plan action by action, then stops."""
+class _Controller:
+    """A strategy as a pure controller: ``choose(s, observation, memory,
+    step)`` returns the entry (an action index, "uniform" or None to
+    stop), the next hashable memory, which starts at the class's
+    ``memory``, and the decision's pipeline events.  ``decide`` alone
+    keeps state: it threads the memory, logs the events in
+    ``self.events``, draws a "uniform" entry from the seeded generator,
+    and stops on an entry that is not admissible in ``s``.
+    """
+
+    memory = None
 
     def __init__(self, compiled: CompiledScenario, seed: int = 0):
-        self.plan = [compiled.action(lbl) for lbl in compiled.spec.nominal_plan]
-        self.pos = 0
+        self.compiled = compiled
+        self.rng = random.Random(seed)
+        self.events = []
+
+    def decide(self, problem, belief, observation, step):
+        s = most_likely_state(belief)
+        entry, self.memory, events = self.choose(s, observation, self.memory, step)
+        self.events += events
+        if entry == "uniform":
+            return self.rng.choice(sorted(problem.admissible[s]))
+        return entry if entry in problem.admissible[s] else None
+
+
+class FixedPlanProvider(_Controller):
+    """Plays the nominal plan action by action, then stops."""
+
+    memory = 0  # the plan position
 
     @staticmethod
     def applicable(spec) -> bool:
         return spec.kind == "rover" and bool(spec.nominal_plan)
 
-    def decide(self, problem, belief, observation, step):
-        if self.pos >= len(self.plan):
-            return None
-        a = self.plan[self.pos]
-        if a not in problem.admissible[most_likely_state(belief)]:
-            return None
-        self.pos += 1
-        return a
+    def choose(self, s, observation, pos, step):
+        plan = self.compiled.plan
+        return (plan[pos], pos + 1, ()) if pos < len(plan) else (None, pos, ())
 
 
-class PhmCommitProvider:
+class PhmCommitProvider(_Controller):
     """Commits once to the route with the best open-loop expectation.
 
-    Interior decisions a route leaves open ("uniform") are drawn from a
-    seeded generator.  The choice depends only on the compiled scenario:
-    the first decision of the first provider on it (or ``episode_total``,
-    which needs it first) makes the choice and stores it there
-    (``compiled.route_choice``); every later provider commits to the
-    stored route.
+    The first request makes the choice and stores it on the compiled
+    scenario (``compiled.route_choice``), so the controller has no memory.
     """
-
-    def __init__(self, compiled: CompiledScenario, seed: int = 0):
-        self.compiled = compiled
-        self.rng = random.Random(seed)
-        self.route_id = None
-        self.expectations = None
 
     @staticmethod
     def applicable(spec) -> bool:
         return spec.kind == "rover" and bool(spec.routes)
 
-    def decide(self, problem, belief, observation, step):
-        if self.route_id is None:
-            self.route_id, self.expectations = _route_choice(self.compiled)
-        s = most_likely_state(belief)
-        a = self.compiled.route_policies[self.route_id].get(s)
-        if a == "uniform":
-            return self.rng.choice(sorted(problem.admissible[s]))
-        return a
+    def choose(self, s, observation, memory, step):
+        route_id = _route_choice(self.compiled)[0]
+        return self.compiled.route_policies[route_id].get(s), None, ()
 
 
 def _route_choice(compiled: CompiledScenario):
@@ -117,7 +122,16 @@ def _route_choice(compiled: CompiledScenario):
     return compiled.route_choice
 
 
-class ShmBaselineProvider:
+class ShmMemory(NamedTuple):
+    """``shm-baseline``'s memory; ``grades`` None allows every grade."""
+
+    pos: int
+    grades: Optional[tuple]
+    cooling: bool
+    aborting: bool
+
+
+class ShmBaselineProvider(_Controller):
     """The separated pipeline driven by the scenario's rule tables.
 
     Every observation runs detection; fired predicates are diagnosed,
@@ -125,29 +139,17 @@ class ShmBaselineProvider:
     matching mitigation is applied.  Operational constraints attached to
     a mitigation persist; when they block the next planned move,
     execution switches to the abort plan.
-    All pipeline activity is logged in ``events`` for inspection.
     """
 
-    def __init__(self, compiled: CompiledScenario, seed: int = 0):
-        self.compiled = compiled
-        self.rules = compiled.spec.shm_rules
-        self.plan = [compiled.action(lbl) for lbl in compiled.spec.nominal_plan]
-        self.pos = 0
-        self.allowed_grades = None
-        self.cooling = False
-        self.aborting = False
-        self.events = []
+    memory = ShmMemory(0, None, False, False)
 
     @staticmethod
     def applicable(spec) -> bool:
         return spec.kind == "rover" and bool(spec.nominal_plan)
 
-    def _cool_action(self, problem, s):
-        a = self.compiled.cool_action
-        return a if a in problem.admissible[s] else None
-
-    def _run_pipeline(self, problem, s, observation, step):
-        rules = self.rules
+    def _pipeline(self, observation, step, events):
+        """One pipeline pass: its event, also appended to ``events``, or None."""
+        rules = self.compiled.spec.shm_rules
         fired = detect(rules.detectors, observation)
         if not fired:
             return None
@@ -160,58 +162,51 @@ class ShmBaselineProvider:
             "modes": [d.mode for d in descriptors],
             "rul_hours": rul_hours,
         }
+        events.append(event)
         try:
-            action_label, constraints = select_recovery(
+            event["recovery"], event["constraints"] = select_recovery(
                 descriptors, rul_hours, rules.mitigations, rules.min_probability
             )
         except EscalationRequired as exc:
             event["escalation"] = str(exc)
-            self.events.append(event)
-            return None
-        event["recovery"] = action_label
-        event["constraints"] = constraints
-        self.events.append(event)
-        if "grades" in constraints:
-            self.allowed_grades = tuple(constraints["grades"])
-        if action_label == "stop_and_cool_down":
-            self.cooling = True
-            return self._cool_action(problem, s)
-        a = self.compiled.action(action_label)
-        return a if a in problem.admissible[s] else None
+        return event
 
-    def decide(self, problem, belief, observation, step):
-        spec = self.compiled.spec
-        s = most_likely_state(belief)
+    def choose(self, s, observation, memory, step):
+        compiled = self.compiled
+        events = []
         # Moving on to the abort plan or past a done activity reruns it all.
         while True:
-            if self.cooling:
+            if memory.cooling:
                 temp = observation.get("motor_temp_c")
-                if temp is not None and temp > spec.thermal.nominal_c + 1e-9:
-                    return self._cool_action(problem, s)
-                self.cooling = False
-            recovery = self._run_pipeline(problem, s, observation, step)
-            if recovery is not None:
-                return recovery
-            if self.aborting:
-                return self.compiled.abort_policy.get(s)
-            if self.pos >= len(self.plan):
-                return None
-            a = self.plan[self.pos]
-            target = self.compiled.targets[a]
-            if isinstance(target, Segment) and self.allowed_grades is not None:
-                if target.grade not in self.allowed_grades:
-                    self.aborting = True
-                    continue
-            if isinstance(target, Activity):
-                # Hold the plan position until the activity is observed done.
-                if observation.get(f"science:{target.id}") == "done":
-                    self.pos += 1
-                    continue
-                return a if a in problem.admissible[s] else None
-            if a not in problem.admissible[s]:
-                return None
-            self.pos += 1
-            return a
+                if temp is not None and temp > compiled.spec.thermal.nominal_c + 1e-9:
+                    return compiled.cool_action, memory, events
+                memory = memory._replace(cooling=False)
+            event = self._pipeline(observation, step, events)
+            if event and "recovery" in event:
+                label, constraints = event["recovery"], event["constraints"]
+                if "grades" in constraints:
+                    memory = memory._replace(grades=tuple(constraints["grades"]))
+                memory = memory._replace(cooling=label == "stop_and_cool_down")
+                a = compiled.cool_action if memory.cooling else compiled.action(label)
+                if a in compiled.problem.admissible[s]:
+                    return a, memory, events
+            if memory.aborting:
+                return compiled.abort_policy.get(s), memory, events
+            if memory.pos >= len(compiled.plan):
+                return None, memory, events
+            a = compiled.plan[memory.pos]
+            target = compiled.targets[a]
+            if (isinstance(target, Segment) and memory.grades is not None
+                    and target.grade not in memory.grades):
+                memory = memory._replace(aborting=True)
+                continue
+            # Hold the plan position until an activity is observed done.
+            if not isinstance(target, Activity):
+                memory = memory._replace(pos=memory.pos + 1)
+            elif observation.get(f"science:{target.id}") == "done":
+                memory = memory._replace(pos=memory.pos + 1)
+                continue
+            return a, memory, events
 
 
 STRATEGIES = {

@@ -321,6 +321,45 @@ class TestExitCodes:
             f"{probability!r} is not in [0, 1]\n"
         )
 
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["run", "--strategy", "shm-baseline"],
+        ["compare", "--rollouts", "1"],
+    ])
+    def test_negative_charge_rate_is_config_error(self, capsys, tmp_path, command):
+        """Before, charging at -500 W ran time backwards and refilled the
+        battery, and ``solve`` on builtin:3 printed a root value of 1250."""
+        scenario = builtin_with(tmp_path, 3, ("battery", "charge_rate_w"), -500)
+        assert run_cli([*command, "--scenario", scenario]) == 2
+        assert capsys.readouterr().err == (
+            "error: battery.charge_rate_w must be non-negative, got -500\n"
+        )
+
+    @pytest.mark.parametrize("region", ["left", "unused"])
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["run"], ["compare", "--rollouts", "1"],
+    ])
+    def test_class_probability_outside_unit_interval_is_config_error(
+        self, capsys, tmp_path, command, region
+    ):
+        """Classes of 1.5 and -0.5 sum to 1.  Before, a region a segment
+        crosses failed in the solver (exit 4) and one no segment crosses
+        loaded and ran."""
+        from hadm.rover import builtin_scenario_dict
+
+        doc = builtin_scenario_dict(2)
+        classes = {"difficult": 1.5, "moderate": -0.5}
+        if region == "left":
+            doc["regions"][0]["classes"] = classes
+        else:
+            doc["regions"].append({"id": region, "classes": classes})
+        path = tmp_path / "classes.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli([*command, "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: region {region!r} terrain class 'difficult' probability "
+            f"1.5 is not in [0, 1]\n"
+        )
+
     def test_state_cap_is_resource_error(self, capsys):
         assert run_cli(
             ["run", "--scenario", "builtin:4", "--max-states", "10"]

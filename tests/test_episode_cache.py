@@ -27,6 +27,7 @@ from hadm.rover import (
 )
 from hadm.rover.plant import sample_assignments
 from hadm.strategies import (
+    PhmCommitProvider,
     analytic_expectation,
     applicable_strategies,
     episode_total,
@@ -108,9 +109,10 @@ def count_episodes(monkeypatch) -> list:
 
     def running(plant, problem, provider, **kwargs):
         trace = run(plant, problem, provider, **kwargs)
-        route = getattr(provider, "route_id", None)
+        choice = plant.compiled.route_choice
         policies = plant.compiled.route_policies
-        seeded = route is not None and "uniform" in policies[route].values()
+        seeded = (isinstance(provider, PhmCommitProvider) and choice is not None
+                  and "uniform" in policies[choice[0]].values())
         path = tuple(r.observation["state_index"] for r in trace.records)
         episodes.append((type(provider).__name__,
                          seeds[id(provider)] if seeded else None, path))

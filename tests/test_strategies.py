@@ -65,10 +65,9 @@ class TestRouteCommitStrategy:
         trace, provider, plant = execute(
             crater, "phm-commit", overrides={"terrain": "difficult-both"}
         )
-        assert provider.route_id == "left"
-        assert provider.expectations == {
+        assert crater.route_choice == ("left", {
             "left": pytest.approx(-840.0), "right": pytest.approx(-875.0)
-        }
+        })
         assert trace.actions() == ["drive:L1", "drive:L2"]
         assert crater.states[plant.state].status == "stranded"
         assert crater.states[plant.state].battery_wh == -100.0
@@ -88,14 +87,14 @@ class TestRouteCommitStrategy:
 
     def test_providers_share_one_choice(self):
         compiled = compile_scenario(builtin_scenario(2))
-        one = make_provider("phm-commit", compiled)
+        make_provider("phm-commit", compiled)
         # Building a provider evaluates no route; its first decision does.
         assert compiled.route_choice is None
-        _, two, _ = execute(compiled, "phm-commit", seed=1)
-        assert compiled.route_choice == ("left", two.expectations)
-        assert one.route_id is None
+        execute(compiled, "phm-commit", seed=1)
+        choice = compiled.route_choice
+        assert choice[0] == "left"
         execute(compiled, "phm-commit", seed=2)
-        assert compiled.route_choice[1] is two.expectations
+        assert compiled.route_choice is choice
 
     def test_moderate_truth_completes(self, crater):
         trace, _, plant = execute(
