@@ -32,6 +32,8 @@ from .model import (
 _TOL = 1e-9
 # Belief mass on the terminal set at which the loop stops.
 TERMINAL_BELIEF = 0.999
+# Steps after which the loop stops by default, truncated.
+MAX_STEPS = 10000
 
 
 def most_likely_state(belief: Belief) -> int:
@@ -301,7 +303,7 @@ def run_loop(
     provider,
     ser: SerPolicy = None,
     b0=None,
-    max_steps: int = 10000,
+    max_steps: int = MAX_STEPS,
 ) -> LoopTrace:
     """Execute the loop until the terminal set is believed reached.
 

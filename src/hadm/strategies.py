@@ -14,13 +14,13 @@ Four strategies share one provider interface:
 """
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from typing import NamedTuple, Optional
 
-from .errors import EscalationRequired, InvalidConfigError, ResourceLimitError
-from .loop import OnlineExpectimaxProvider, most_likely_state, run_loop
+from .errors import EscalationRequired, InvalidConfigError, ModelError
+from .loop import MAX_STEPS, OnlineExpectimaxProvider, most_likely_state, run_loop
+from .model import _entry, run_walk
 from .rover.compiler import CompiledScenario
 from .rover.plant import Plant, resolve_overrides
 from .rover.spec import Activity, Segment
@@ -33,24 +33,27 @@ from .shm import (
 )
 
 
-# Cap on the ground-truth assignments ``analytic_expectation`` enumerates;
-# the same figure as the default compiled-state cap.
-MAX_GROUND_TRUTHS = 10**6
-
-
 class HadmProvider(OnlineExpectimaxProvider):
     """Online expectimax over the compiled scenario's solved table.
 
     The first provider built on a compiled scenario solves its problem
     and stores the table on it (``compiled.table``); every later one
     reuses that table, so a process solves each compiled scenario once.
+    As a controller it has no memory: ``choose`` decides on the point
+    mass on ``s``.
     """
+
+    memory = None
 
     def __init__(self, compiled: CompiledScenario, seed: int = 0):
         if compiled.table is None:
             super().__init__(compiled.problem)
             compiled.table = self.table
         self.table = compiled.table
+        self.problem = compiled.problem
+
+    def choose(self, s, observation, memory, step):
+        return self.decide(self.problem, {s: 1.0}, observation, step), None, ()
 
     @staticmethod
     def applicable(spec) -> bool:
@@ -147,12 +150,12 @@ class ShmBaselineProvider(_Controller):
     def applicable(spec) -> bool:
         return spec.kind == "rover" and bool(spec.nominal_plan)
 
-    def _pipeline(self, observation, step, events):
-        """One pipeline pass: its event, also appended to ``events``, or None."""
+    def _pipeline(self, observation, step):
+        """The events of one pipeline pass: none, or one event."""
         rules = self.compiled.spec.shm_rules
         fired = detect(rules.detectors, observation)
         if not fired:
-            return None
+            return []
         descriptors = diagnose(rules.diagnosis, observation, fired)
         ruls = [prognose_fault(d, observation) for d in descriptors]
         known = [r for r in ruls if r is not None]
@@ -162,26 +165,28 @@ class ShmBaselineProvider(_Controller):
             "modes": [d.mode for d in descriptors],
             "rul_hours": rul_hours,
         }
-        events.append(event)
         try:
             event["recovery"], event["constraints"] = select_recovery(
                 descriptors, rul_hours, rules.mitigations, rules.min_probability
             )
         except EscalationRequired as exc:
             event["escalation"] = str(exc)
-        return event
+        return [event]
 
     def choose(self, s, observation, memory, step):
         compiled = self.compiled
-        events = []
-        # Moving on to the abort plan or past a done activity reruns it all.
+        events = None  # the pipeline's, from the first pass that reaches it
+        # Moving on to the abort plan or past a done activity reruns the
+        # rules, on the same event.
         while True:
             if memory.cooling:
                 temp = observation.get("motor_temp_c")
                 if temp is not None and temp > compiled.spec.thermal.nominal_c + 1e-9:
-                    return compiled.cool_action, memory, events
+                    return compiled.cool_action, memory, events or []
                 memory = memory._replace(cooling=False)
-            event = self._pipeline(observation, step, events)
+            if events is None:
+                events = self._pipeline(observation, step)
+            event = events[0] if events else None
             if event and "recovery" in event:
                 label, constraints = event["recovery"], event["constraints"]
                 if "grades" in constraints:
@@ -292,33 +297,44 @@ def episode_total(
 def analytic_expectation(
     compiled: CompiledScenario, strategy: str, overrides=None
 ) -> float:
-    """Exact expected cumulative reward of a strategy: the
-    probability-weighted sum of its episode totals (``episode_total``,
-    seed 0) over every ground-truth assignment, in product order.
-    Pinned variables keep their pinned value instead of being
-    enumerated.  A product of more than ``MAX_GROUND_TRUTHS``
-    assignments raises ``ResourceLimitError`` before any episode runs."""
+    """Exact expected cumulative reward of a strategy: policy evaluation
+    on the product of its controller and the compiled chain, with one
+    backup per reachable node ``(s, memory, step)``, the arguments of
+    ``choose``, by the rules ``run_loop`` plays an episode by.  A
+    terminal state, the step cap and a stop (None, or an entry not
+    admissible in ``s``) are worth 0.  A pinned variable's row keeps its
+    pinned branch alone, at probability 1, and none when that branch has
+    probability 0, where an episode aborts.  A value that is not finite
+    raises ``ModelError``."""
     pinned = resolve_overrides(compiled, overrides)
-    rvs = sorted(compiled.rv_defs)
-    choices = [
-        [(pinned[rv], 1.0)] if rv in pinned
-        else sorted(compiled.rv_defs[rv].items())
-        for rv in rvs
-    ]
-    size = math.prod(len(c) for c in choices)
-    if size > MAX_GROUND_TRUTHS:
-        raise ResourceLimitError(
-            f"{size} ground-truth assignments to enumerate exceed the cap "
-            f"of {MAX_GROUND_TRUTHS}"
+    problem = compiled.problem
+    provider = make_provider(strategy, compiled)
+    values = {}
+
+    def value(s, memory, step):
+        if s in problem.terminal or step == MAX_STEPS:
+            return 0.0
+        key = (s, memory, step)
+        if key not in values:
+            entry, memory, _ = provider.choose(s, compiled.channels(s), memory, step)
+            total = 0.0
+            if entry == "uniform" or entry in problem.admissible[s]:
+                for a, pa in _entry(problem, s, entry):
+                    rows = problem.transitions[(s, a)]
+                    rv, branches = compiled.outcomes.get((s, a), (None, ()))
+                    if rv in pinned:
+                        s2, p, r = rows[branches.index(pinned[rv])]
+                        rows = ((s2, 1.0, r),) if p > 0.0 else ()
+                    for s2, p, r in rows:
+                        if p > 0.0:
+                            total += pa * p * (r + (yield value(s2, memory, step + 1)))
+            values[key] = total
+        return values[key]
+
+    total = run_walk(value(compiled.initial_state, provider.memory, 0))
+    if not math.isfinite(total):
+        raise ModelError(
+            f"reward overflow: strategy {strategy!r} expects {total!r}, "
+            "past the float range"
         )
-    total = 0.0
-    for combo in itertools.product(*choices):
-        prob = 1.0
-        assignments = {}
-        for rv, (value, p) in zip(rvs, combo):
-            prob *= p
-            assignments[rv] = value
-        if prob <= 0.0:
-            continue
-        total += prob * episode_total(compiled, strategy, 0, assignments)
     return total

@@ -365,11 +365,12 @@ class TestExitCodes:
             ["run", "--scenario", "builtin:4", "--max-states", "10"]
         ) == 3
 
-    def test_ground_truth_cap_is_resource_error(
+    def test_compare_values_many_ground_truths_without_episodes(
         self, capsys, tmp_path, monkeypatch
     ):
         """22 two-class regions compile to 89 states but 2**22 ground
-        truths: ``compare`` stops before its first episode."""
+        truths: the analytic column walks the 89 states, so ``compare``
+        runs only the one rollout's episode."""
         import hadm.strategies
 
         path = tmp_path / "star.json"
@@ -377,19 +378,21 @@ class TestExitCodes:
         assert run_cli(["solve", "--scenario", str(path)]) == 0
         assert "states: 89\n" in capsys.readouterr().out
         assert run_cli(["run", "--scenario", str(path)]) == 0
+        capsys.readouterr()
 
-        def no_episode(*args, **kwargs):
-            raise AssertionError("an episode ran")
+        episodes, run = [], hadm.strategies.run_loop
 
-        monkeypatch.setattr(hadm.strategies, "run_loop", no_episode)
+        def counted(*args, **kwargs):
+            episodes.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(hadm.strategies, "run_loop", counted)
         start = time.perf_counter()
         assert run_cli(["compare", "--scenario", str(path), "--rollouts", "1",
-                        "--strategies", "fixed-plan"]) == 3
+                        "--strategies", "fixed-plan", "--format", "csv"]) == 0
         assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().err.endswith(
-            "error: 4194304 ground-truth assignments to enumerate exceed "
-            "the cap of 1000000\n"
-        )
+        assert capsys.readouterr().out.splitlines()[1].startswith("fixed-plan,0.0,")
+        assert len(episodes) == 1
 
     @pytest.mark.parametrize("command", [
         ["run", "--strategy", "phm-commit"],

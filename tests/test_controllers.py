@@ -1,13 +1,14 @@
-"""The baseline strategies as pure controllers.
+"""The strategies as pure controllers.
 
-``fixed-plan``, ``phm-commit`` and ``shm-baseline`` decide through
-``choose(s, observation, memory, step)``, which returns ``(entry,
-memory', events)`` and keeps nothing between calls.  Over generated
-documents (``mission_documents``), every call that a pinned episode
-makes must take and return a hashable memory, each call must get the
-memory the one before it returned, and a provider built afresh on a
-separately compiled scenario must return an equal result for the same
-arguments, replayed last call first.
+Every strategy has ``choose(s, observation, memory, step)``, which
+returns ``(entry, memory', events)`` and keeps nothing between calls;
+``fixed-plan``, ``phm-commit`` and ``shm-baseline`` also decide through
+it.  Over generated documents (``mission_documents``), every call that a
+pinned episode makes must take and return a hashable memory and return
+at most one pipeline event, each call must get the memory the one before
+it returned, and a provider built afresh on a separately compiled
+scenario must return an equal result for the same arguments, replayed
+last call first.
 """
 from hypothesis import given, settings
 from test_strategies_oracle import MAX_STATES, mission_documents
@@ -17,7 +18,7 @@ from hadm.loop import run_loop
 from hadm.rover import Plant, compile_scenario, load_scenario
 from hadm.strategies import STRATEGIES, applicable_strategies, make_provider
 
-CONTROLLERS = ("fixed-plan", "phm-commit", "shm-baseline")
+CONTROLLERS = ("hadm", "fixed-plan", "phm-commit", "shm-baseline")
 
 
 def recorded_calls(compiled, strategy, seed, overrides) -> list:
@@ -60,6 +61,7 @@ def test_choose_is_a_function_of_its_arguments(doc):
                 memories = [args[2] for args, _ in calls]
                 returned = [result[1] for _, result in calls]
                 assert all(type(hash(m)) is int for m in memories + returned)
+                assert all(len(result[2]) <= 1 for _, result in calls)
                 assert memories[:1] in ([], [STRATEGIES[strategy].memory])
                 assert memories[1:] == returned[:-1]
                 for args, result in reversed(calls):

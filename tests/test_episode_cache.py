@@ -4,9 +4,8 @@ episodes ``compare`` runs.
 ``episode_total`` runs an episode only for a realized path its trie has
 not met yet.  Over generated documents (``mission_documents``: routes
 with "uniform" moves among them), every applicable strategy's cached
-total, read once ``analytic_expectation`` has filled the cache, must
-equal the total of a fresh episode on a separately compiled scenario, or
-fail with the same typed error.
+total must equal the total of a fresh episode on a separately compiled
+scenario, or fail with the same typed error.
 """
 import json
 
@@ -28,7 +27,6 @@ from hadm.rover import (
 from hadm.rover.plant import sample_assignments
 from hadm.strategies import (
     PhmCommitProvider,
-    analytic_expectation,
     applicable_strategies,
     episode_total,
     make_provider,
@@ -73,7 +71,6 @@ def test_cached_totals_match_fresh_episodes(doc):
     ]
     for strategy in applicable_strategies(spec):
         for overrides in pins:
-            _typed(analytic_expectation, warm, strategy, overrides)
             for seed in seeds:
                 assert (_typed(_cached, warm, strategy, seed, overrides)
                         == _typed(_fresh, fresh, strategy, seed, overrides))
@@ -81,7 +78,7 @@ def test_cached_totals_match_fresh_episodes(doc):
 
 def test_right_only_commits_to_a_seeded_route():
     compiled = compile_scenario(load_scenario(right_only()))
-    analytic_expectation(compiled, "phm-commit")
+    _cached(compiled, "phm-commit", 0, None)
     assert compiled.route_choice[0] == "right"
     assert "uniform" in compiled.route_policies["right"].values()
     assert set(compiled.episode_tries) == {("phm-commit", 0)}

@@ -6,15 +6,19 @@ ladder-shaped document inline (four stages of three segments, two
 two-class regions per stage: 1 + 5 + 25 + 125 + 625 = 781 states) and
 pins the SHA-256 of what ``solve`` and ``run`` write for it, so a change
 to how the compiler expands or records states that moves any byte of a
-state label, a value, a policy or a trace fails here.
+state label, a value, a policy or a trace fails here.  It also holds the
+analytic values of ``hadm``, ``fixed-plan`` and ``shm-baseline`` to an
+exact rational oracle.
 """
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from hadm.cli import main
 from hadm.rover import compile_scenario, load_scenario
+from hadm.strategies import analytic_expectation
 
 # Per stage: P(difficult) of its "a" and "b" regions.
 STAGES = (("0.3", "0.6"), ("0.55", "0.25"), ("0.8", "0.45"), ("0.15", "0.9"))
@@ -111,3 +115,26 @@ def test_absorbing_states_stay_in_place():
         assert p.transitions[(s, stay)] == ((s, 1.0, 0.0),)
     assert all(stay not in p.admissible[s] for s in range(p.n_states)
                if s not in absorbing)
+
+
+def exact_values() -> dict:
+    """Each strategy's expected reward as a ``Fraction``.  Every drive
+    costs its energy, the battery never runs out, and each region is
+    revealed only by its own stage's drive, so the optimum takes each
+    stage's cheapest expected drive, and the nominal plan, with no
+    mitigation rules, each stage's ``A``."""
+    best = plan = Fraction(0)
+    for pa, pb in STAGES:
+        a = Fraction(pa) * 600 + (1 - Fraction(pa)) * 300
+        b = Fraction(pb) * 700 + (1 - Fraction(pb)) * 200
+        best -= min(a, b, Fraction(420))
+        plan -= a
+    return {"hadm": best, "fixed-plan": plan, "shm-baseline": plan}
+
+
+def test_analytic_values_are_exact():
+    compiled = compile_scenario(load_scenario(ladder_document()))
+    exact = exact_values()
+    assert exact == {"hadm": -1480, "fixed-plan": -1740, "shm-baseline": -1740}
+    for strategy, value in exact.items():
+        assert analytic_expectation(compiled, strategy) == value

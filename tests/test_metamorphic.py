@@ -8,7 +8,7 @@ every value is known without solving it.
     no value, exactly.
 (b) Reordering the declared waypoints, segments, regions and activities
     changes no state value, and no analytic value beyond rounding.
-(f) ``hadm``'s analytic value is the root value of ``solve``, to rounding.
+(f) ``hadm``'s analytic value is the root value of ``solve``, exactly.
 """
 import copy
 
@@ -191,11 +191,6 @@ def test_declaration_order_changes_no_value(doc, rng):
     may play another action of equal value, whose episode totals add up
     to the same expectation only to rounding.  (No generated document
     has shown such a difference yet.)
-
-    ``phm-commit`` is left out.  Its seeded ``"uniform"`` moves draw from
-    the admissible actions sorted by index, so a reordering changes which
-    move a draw picks, and so its episodes: its value changed on 8 of 216
-    generated documents where it applies.
     """
     doc.pop("seeds")
     shuffled = copy.deepcopy(doc)
@@ -208,8 +203,6 @@ def test_declaration_order_changes_no_value(doc, rng):
     (root, table, analytic), (root2, table2, analytic2) = base, other
     assert table2[root2] == table[root]
     assert sorted(table2.values()) == sorted(table.values())
-    analytic.pop("phm-commit", None)
-    analytic2.pop("phm-commit", None)
     assert analytic2.keys() == analytic.keys()
     for name, value in analytic.items():
         if isinstance(value, type):
@@ -222,9 +215,8 @@ def test_declaration_order_changes_no_value(doc, rng):
 @given(mission_documents())
 def test_hadm_attains_the_root_value(doc):
     """(f) ``hadm`` plays the optimal policy, so its analytic value equals
-    the compiled problem's root value.  The enumeration sums episode
-    totals while value iteration backs up the tree, so the two agree only
-    to rounding: within one ulp on ladder k=3.  Hence ``rel=1e-9``.
+    the compiled problem's root value, exactly: the walk backs up the
+    same rows in the same order as value iteration does.
 
     It runs 300 examples because few generated documents can show a
     wrong branch: a plant that takes the mirrored branch of a two-way
@@ -235,4 +227,4 @@ def test_hadm_attains_the_root_value(doc):
     if isinstance(compiled, type):
         return
     root = value_iterate(compiled.problem)[compiled.initial_state]
-    assert analytic_expectation(compiled, "hadm") == pytest.approx(root, rel=1e-9)
+    assert analytic_expectation(compiled, "hadm") == root
