@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import io
 import math
-import statistics
 import sys
 
 from .errors import (
@@ -149,6 +148,8 @@ def cmd_compare(args) -> int:
     compiled = compile_scenario(spec, max_states=args.max_states)
     if names is None:
         names = applicable_strategies(spec)
+
+    import statistics  # only the standard error needs it; loading it costs each command
 
     rows = []
     truths = None  # each rollout's ground truth, shared by every strategy

@@ -78,7 +78,8 @@ class Problem:
     """A finite decision problem.
 
     ``state_labels`` is a sequence of labels, one per state: a tuple when
-    built by hand, or one that formats each label when it is read
+    built by hand, or one that formats each label when it is read until
+    its first iteration formats them all once and keeps them
     (``hadm.rover.compile_scenario``).  ``transitions`` maps each
     admissible (state, action) pair to one (s', p, r) triple per branch:
     ``a`` in ``s`` moves to ``s'`` with probability ``p`` and earns

@@ -85,25 +85,31 @@ def _channels(spec: ScenarioSpec, st: RoverState, s: int) -> dict:
 
 
 class _Labels(Sequence):
-    """The labels of a compiled scenario's states, each formatted by
-    ``_Compiler.label`` from ``states[s]`` when it is read.  It reads
-    like a tuple of the labels: a slice is a tuple of labels, and its
-    ``repr`` is the tuple's.  It compares equal to any sequence of the
-    same labels."""
+    """The labels of a compiled scenario's states, formatted by
+    ``_Compiler.label`` from ``states``.  Until the first iteration a
+    label is formatted from ``states[s]`` each time it is read; the first
+    iteration formats them all once into a tuple and keeps it, and every
+    later read comes from that tuple.  It reads like a tuple of the
+    labels: a slice is a tuple of labels, and its ``repr`` is the
+    tuple's.  It compares equal to any sequence of the same labels."""
 
     def __init__(self, label, states: tuple):
-        self._label, self._states = label, states
+        self._label, self._states, self._all = label, states, None
 
     def __len__(self):
         return len(self._states)
 
     def __getitem__(self, s):
+        if self._all is not None:
+            return self._all[s]
         if isinstance(s, slice):
             return tuple(map(self._label, self._states[s]))
         return self._label(self._states[s])
 
     def __iter__(self):
-        return map(self._label, self._states)
+        if self._all is None:
+            self._all = tuple(map(self._label, self._states))
+        return iter(self._all)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -119,10 +125,12 @@ class CompiledScenario:
     """A scenario compiled to a Problem plus the labeling metadata.
 
     ``states[s]`` is state ``s``'s ``RoverState``; ``problem.state_labels``
-    formats label ``s`` from it each time the label is read, and keeps
-    none.  ``table`` and ``route_choice`` hold the problem's optimal
-    utilities and the ``phm-commit`` route choice once a provider has
-    computed them; later providers on this object reuse them.
+    formats label ``s`` from it each time the label is read, until its
+    first iteration formats every label once and keeps them, so
+    ``solve``'s two exports share one pass.  ``table`` and
+    ``route_choice`` hold the problem's optimal utilities and the
+    ``phm-commit`` route choice once a provider has computed them; later
+    providers on this object reuse them.
     ``episode_tries`` holds the episode totals that
     ``hadm.strategies.episode_total`` has computed, one trie per
     (strategy, seed or None).

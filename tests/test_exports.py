@@ -5,12 +5,15 @@ import json
 import sys
 import tracemalloc
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_rover import _ladder
 
 from hadm.cli import main
 from hadm.model import Policy, Problem, ValueTable, extract_policy, value_iterate
-from hadm.rover.compiler import compile_scenario
+from hadm.rover.builtins import builtin_scenario
+from hadm.rover.compiler import _Compiler, compile_scenario
 from hadm.rover.spec import load_scenario_file
 
 
@@ -122,17 +125,64 @@ class _Discard:
 def test_memory_is_one_block():
     """Traced memory holds one block of rows, not the file and not a
     sorted copy of the states: 10^5 rows of this table come to about
-    4.8 MB, and their sorted state list alone to 800 KB."""
+    4.8 MB, and their sorted state list alone to 800 KB, traced on the
+    first export.  A compiled problem keeps its labels once they are
+    read, and the 19,531 rows of the ladder at k=6 export in one block
+    as well, traced on the export after the one that read them."""
     n = 10**5
-    problem = absorbing_problem([f"state-{s}|t={s}.0|status=ok" for s in range(n)])
-    table = ValueTable({s: s / 3 for s in range(n)})
-    tracemalloc.start()
-    try:
-        table.write_csv(problem, _Discard())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**18
+    by_hand = absorbing_problem([f"state-{s}|t={s}.0|status=ok" for s in range(n)])
+    compiled = compile_scenario(_ladder(6)).problem
+    for problem, warm in ((by_hand, False), (compiled, True)):
+        table = ValueTable({s: s / 3 for s in range(problem.n_states)})
+        if warm:
+            table.write_csv(problem, _Discard())
+        tracemalloc.start()
+        try:
+            table.write_csv(problem, _Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """Each label that ``_Compiler.label`` formats, in call order."""
+    labels, label = [], _Compiler.label
+
+    def counting(self, state):
+        labels.append(label(self, state))
+        return labels[-1]
+
+    monkeypatch.setattr(_Compiler, "label", counting)
+    return labels
+
+
+def test_compile_formats_no_label(formatted):
+    compile_scenario(builtin_scenario(4))
+    assert formatted == []
+
+
+def test_solve_formats_each_label_once(tmp_path, capsys, formatted):
+    """Both exports read one pass of the labels: builtin:4's 172 states
+    format 172 labels, where an export apiece would format 344."""
+    value_out, policy_out = tmp_path / "value.csv", tmp_path / "policy.csv"
+    assert main(["solve", "--scenario", "builtin:4",
+                 "--value-out", str(value_out),
+                 "--policy-out", str(policy_out)]) == 0
+    assert "states: 172" in capsys.readouterr().out
+    assert len(formatted) == len(set(formatted)) == 172
+    with open(value_out, encoding="utf-8", newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)][1:] == formatted
+
+
+def test_run_formats_only_the_labels_it_reports(capsys, formatted):
+    """An episode formats the labels of its belief summaries and of its
+    final state, each of which its JSONL trace reports, and no more."""
+    assert main(["run", "--scenario", "builtin:4", "--format", "jsonl"]) == 0
+    out = capsys.readouterr().out
+    assert 0 < len(formatted) < 172
+    assert all(json.dumps(label) in out for label in formatted)
 
 
 ODD_IDS = {
