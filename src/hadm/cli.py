@@ -14,6 +14,7 @@ configuration, 3 resource cap exceeded, 4 model inconsistency.
 from __future__ import annotations
 
 import argparse
+import importlib
 import io
 import math
 import sys
@@ -25,31 +26,59 @@ from .errors import (
     ResourceLimitError,
     UnconstrainedSigmaError,
 )
-from .loop import run_loop
-from .model import extract_policy, value_iterate
-from .prognostics import (
-    DegradationModel,
-    EventThreshold,
-    PrognosisRequest,
-    closed_forms,
-    max_prediction_health,
-    prognose,
-)
-from .rover.builtins import builtin_scenario
-from .rover.compiler import compile_scenario
-from .rover.plant import Plant, resolve_overrides, sample_assignments
-from .rover.spec import load_scenario_file
-from .strategies import (
-    STRATEGIES,
-    analytic_expectation,
-    applicable_strategies,
-    applicable_strategy,
-    episode_total,
-    make_provider,
-)
+
+# The module of each name the commands call.  A name is imported when it
+# is first read, as an attribute of this module (PEP 562) or by a
+# command's ``_need``, and is then kept in this module's globals: a
+# command loads only its own modules, and a name replaced from outside
+# (a tracer's wrapper, a test's stub) stays replaced.
+_HOMES = {
+    "run_loop": ".loop",
+    "extract_policy": ".model",
+    "value_iterate": ".model",
+    "DegradationModel": ".prognostics",
+    "EventThreshold": ".prognostics",
+    "PrognosisRequest": ".prognostics",
+    "closed_forms": ".prognostics",
+    "max_prediction_health": ".prognostics",
+    "prognose": ".prognostics",
+    "builtin_scenario": ".rover.builtins",
+    "compile_scenario": ".rover.compiler",
+    "Plant": ".rover.plant",
+    "resolve_overrides": ".rover.plant",
+    "sample_assignments": ".rover.plant",
+    "load_scenario_file": ".rover.spec",
+    "STRATEGIES": ".strategies",
+    "analytic_expectation": ".strategies",
+    "applicable_strategies": ".strategies",
+    "applicable_strategy": ".strategies",
+    "episode_total": ".strategies",
+    "make_provider": ".strategies",
+}
+
+# ``sorted(STRATEGIES)``, kept here so that the parser loads no strategy.
+STRATEGY_NAMES = ["fixed-plan", "hadm", "phm-commit", "shm-baseline"]
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home, __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _need(*names):
+    """Import each of ``names`` that this module does not hold yet."""
+    held = globals()
+    for name in names:
+        if name not in held:
+            __getattr__(name)
 
 
 def _load_spec(arg: str):
+    _need("builtin_scenario", "load_scenario_file")
     if arg.startswith("builtin:") or arg.isdigit():
         number = arg.split(":", 1)[-1]
         try:
@@ -90,6 +119,8 @@ def _require_rover(spec):
 
 
 def cmd_run(args) -> int:
+    _need("compile_scenario", "applicable_strategy", "Plant", "make_provider",
+          "run_loop")
     overrides = _parse_overrides(args.set)  # needs no scenario
     spec = _load_spec(args.scenario)
     _require_rover(spec)
@@ -129,6 +160,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _need("STRATEGIES", "compile_scenario", "applicable_strategies",
+          "applicable_strategy", "analytic_expectation", "resolve_overrides",
+          "sample_assignments", "episode_total")
     # The arguments that need no scenario are checked before it compiles.
     names = None
     if args.strategies:
@@ -210,6 +244,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _need("DegradationModel", "EventThreshold", "PrognosisRequest",
+          "closed_forms", "max_prediction_health", "prognose")
     spec = _load_spec(args.scenario)
     deg = spec.degradation
     if deg is None:
@@ -251,6 +287,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _need("compile_scenario", "value_iterate", "extract_policy")
     spec = _load_spec(args.scenario)
     _require_rover(spec)
     compiled = compile_scenario(spec, max_states=args.max_states)
@@ -293,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one episode")
     common(p_run, "--seed", "--max-states", "--out")
-    p_run.add_argument("--strategy", default="hadm", choices=sorted(STRATEGIES))
+    p_run.add_argument("--strategy", default="hadm", choices=STRATEGY_NAMES)
     p_run.add_argument("--format", default="table",
                        choices=["table", "csv", "jsonl"])
     p_run.add_argument("--set", action="append", metavar="VAR=VALUE",

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import IO, Mapping
+from typing import IO, Mapping, NamedTuple
 
 from .errors import ImpossibleObservationError, InvalidConfigError, ModelError
 from .model import (
@@ -115,8 +115,7 @@ class OnlineExpectimaxProvider:
         return best
 
 
-@dataclass(frozen=True)
-class SerPolicy:
+class SerPolicy(NamedTuple):
     """Safety override: a membership predicate plus a response table.
 
     ``member`` is either a collection of state indices or a callable over

@@ -6,17 +6,19 @@ battery budgets, thermal limits, deadlines, reward shaping, routes for
 the commit-once comparison strategy, nominal/abort plans, and the
 baseline health-management rule tables.
 
-The records below define the document: ``SCENARIO_SCHEMA`` is derived
-from their annotations and ``load_scenario`` builds them from it.
+The records below define the document: each is an immutable
+``NamedTuple`` whose annotations and defaults ``SCENARIO_SCHEMA`` is
+derived from, and ``load_scenario`` builds them from it.  ``_FIELD_META``
+holds the two facts an annotation cannot carry.
 """
-import dataclasses
 import functools
 import json
 import math
 import numbers
 from collections import abc
-from dataclasses import dataclass, field
-from typing import Literal, Mapping, Optional, Union, get_args, get_origin
+from typing import (
+    Literal, Mapping, NamedTuple, Optional, Union, get_args, get_origin,
+)
 
 from ..errors import InvalidConfigError
 from ..shm import ShmRules
@@ -24,24 +26,21 @@ from ..shm import ShmRules
 PROB_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Waypoint:
+class Waypoint(NamedTuple):
     id: str
     name: str = ""
     charge_point: bool = False
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     id: str
     # terrain class -> probability
-    classes: Mapping[str, float] = field(metadata={"minProperties": 1})
+    classes: Mapping[str, float]
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     id: str
-    frm: str = field(metadata={"json": "from"})
+    frm: str  # "from" in the document
     to: str
     duration_h: float = 1.0
     region: str = None
@@ -51,8 +50,7 @@ class Segment:
     heats_motor: bool = False
 
 
-@dataclass(frozen=True)
-class Activity:
+class Activity(NamedTuple):
     id: str
     waypoint: str
     duration_h: float
@@ -60,39 +58,34 @@ class Activity:
     redo_prob: float = 0.0
 
 
-@dataclass(frozen=True)
-class PowerConfig:
+class PowerConfig(NamedTuple):
     solar_w: float = 0.0
     heater_w: float = 0.0
     drive_w: float = 0.0
     sunlight_until_h: float = float("inf")
 
 
-@dataclass(frozen=True)
-class BatteryConfig:
+class BatteryConfig(NamedTuple):
     capacity_wh: float
     initial_wh: float
     charge_rate_w: float = 0.0
 
 
-@dataclass(frozen=True)
-class ThermalConfig:
+class ThermalConfig(NamedTuple):
     nominal_c: float = 20.0
     heat_rate_c_per_h: float = 0.0
     cool_rate_c_per_h: float = 0.0
     limit_c: float = float("inf")
 
 
-@dataclass(frozen=True)
-class Mission:
+class Mission(NamedTuple):
     start: str
     goal: str
     require_activities: tuple[str, ...] = ()
     deadline_h: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class RewardConfig:
+class RewardConfig(NamedTuple):
     step_energy: bool = False
     terminal_battery: bool = False
     time_margin_bonus: bool = False
@@ -102,20 +95,17 @@ class RewardConfig:
     deadline_missed_penalty: float = 0.0
 
 
-@dataclass(frozen=True)
-class ActionConfig:
+class ActionConfig(NamedTuple):
     allow_charge: bool = False
     cool_grid_h: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     id: str
     moves: Mapping[str, str]  # waypoint -> action label, or "uniform"
 
 
-@dataclass(frozen=True)
-class DegradationSection:
+class DegradationSection(NamedTuple):
     s0: float = 1.0
     rate_nominal: float = 0.05
     p_high: float = 0.0
@@ -125,8 +115,7 @@ class DegradationSection:
     h_min: float = 0.0
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     name: str
     kind: Literal["rover", "prognostics"]
     comments: tuple[str, ...] = ()
@@ -142,13 +131,11 @@ class ScenarioSpec:
     actions: ActionConfig = ActionConfig()
     routes: tuple[Route, ...] = ()
     nominal_plan: tuple[str, ...] = ()
-    abort_plan: Mapping[str, str] = field(default_factory=dict)
+    abort_plan: Mapping[str, str] = {}
     shm_rules: ShmRules = ShmRules()
     degradation: Optional[DegradationSection] = None
     # alias -> variant -> {random variable: value}
-    override_aliases: Mapping[str, Mapping[str, Mapping]] = field(
-        default_factory=dict
-    )
+    override_aliases: Mapping[str, Mapping[str, Mapping]] = {}
 
     def waypoint(self, wp_id):
         for wp in self.waypoints:
@@ -175,6 +162,13 @@ class ScenarioSpec:
         raise InvalidConfigError(f"unknown activity {act_id!r}")
 
 
+# A field's document key when it is not the field name (``from`` is a
+# keyword), and JSON Schema keywords added to its fragment.
+_FIELD_META = {
+    (Segment, "frm"): {"json": "from"},
+    (Region, "classes"): {"minProperties": 1},
+}
+
 _JSON_TYPES = {str: "string", float: "number", int: "integer", bool: "boolean"}
 
 # JSON Schema (Draft 2020-12) types: a bool is no number, and an
@@ -197,7 +191,7 @@ def _form(tp):
     """The JSON Schema fragment of annotation ``tp`` and its reader.
 
     A record is a closed object whose fields without a default are
-    required; a field's metadata may rename it (``json``) or add
+    required; its ``_FIELD_META`` entry may rename it (``json``) or add
     ``minProperties``.  ``Optional`` adds ``null``, ``Literal`` is an
     enum, ``tuple[X, ...]`` an array of ``X`` and ``Mapping[str, X]`` an
     object of ``X`` values (a bare ``Mapping``, any object).
@@ -211,17 +205,17 @@ def _form(tp):
     integer, and a nullable section that is null or empty is None.
     """
     origin, args = get_origin(tp), get_args(tp)
-    if dataclasses.is_dataclass(tp):
+    if hasattr(tp, "_fields"):  # a record
         fields, properties, required = [], {}, []
-        for f in dataclasses.fields(tp):
-            key = f.metadata.get("json", f.name)
-            fragment, read = _form(f.type)
+        for name in tp._fields:
+            meta = _FIELD_META.get((tp, name), {})
+            key = meta.get("json", name)
+            fragment, read = _form(tp.__annotations__[name])
             properties[key] = {
-                **fragment, **{k: v for k, v in f.metadata.items() if k != "json"}
+                **fragment, **{k: v for k, v in meta.items() if k != "json"}
             }
-            fields.append((f.name, key, read, f.metadata.get("minProperties", 0)))
-            if (f.default is dataclasses.MISSING
-                    and f.default_factory is dataclasses.MISSING):
+            fields.append((name, key, read, meta.get("minProperties", 0)))
+            if name not in tp._field_defaults:
                 required.append(key)
         schema = {"type": "object"}
         if required:
@@ -328,7 +322,7 @@ def load_scenario(doc: dict) -> ScenarioSpec:
     """Build a validated ScenarioSpec from a scenario document.
 
     Records are built from their entries by field, so field defaults
-    live only on the dataclasses.
+    live only on the record classes (``_field_defaults``).
     """
     spec = _read(doc)
     _check_finite(doc)

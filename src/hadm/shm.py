@@ -8,10 +8,9 @@ mitigation is committed to, it is not revisited.
 """
 import operator
 from dataclasses import dataclass, field
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Mapping, NamedTuple, Sequence
 
 from .errors import EscalationRequired, InvalidConfigError
-from .model import Problem, open_loop_expectation
 
 _OPS = {
     ">": operator.gt,
@@ -26,8 +25,7 @@ _OPS = {
 ORDERING = frozenset({">", ">=", "<", "<="})
 
 
-@dataclass(frozen=True)
-class ThresholdPredicate:
+class ThresholdPredicate(NamedTuple):
     """Fires when ``channel <op> limit``; an optional guard restricts it
     to observations whose guard channels match exactly."""
 
@@ -71,14 +69,13 @@ class FaultDescriptor:
             raise InvalidConfigError("fault probability must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class DiagnosisRule:
+class DiagnosisRule(NamedTuple):
     """Maps a fired predicate's channel to a fault descriptor template."""
 
     channel: str
     component: str
     mode: str
-    parameters: Mapping = field(default_factory=dict)
+    parameters: Mapping = {}
     probability: float = 1.0
 
 
@@ -126,11 +123,10 @@ def prognose_fault(descriptor: FaultDescriptor, obs: Mapping):
     return max(0.0, (limit - obs[channel]) / rate)
 
 
-@dataclass(frozen=True)
-class MitigationRule:
+class MitigationRule(NamedTuple):
     fault_mode: str
     action: str
-    constraints: Mapping = field(default_factory=dict)
+    constraints: Mapping = {}
     priority: int = 0
 
 
@@ -162,8 +158,7 @@ def select_recovery(
     return best.action, dict(best.constraints)
 
 
-@dataclass(frozen=True)
-class ShmRules:
+class ShmRules(NamedTuple):
     """A scenario's rule tables for the separated pipeline, typed at load."""
 
     detectors: tuple[ThresholdPredicate, ...] = ()
@@ -172,7 +167,7 @@ class ShmRules:
     min_probability: float = 0.0
 
 
-def phm_route_choice(problem: Problem, route_policies: Mapping):
+def phm_route_choice(problem: "Problem", route_policies: Mapping):
     """Commit to the route with the best open-loop expectation.
 
     ``route_policies`` maps route id to a (possibly partial) state ->
@@ -181,6 +176,10 @@ def phm_route_choice(problem: Problem, route_policies: Mapping):
     energy.  Ties break toward the first-listed route.  Returns
     (route_id, {route_id: expectation}).
     """
+    # Imported here: every scenario load imports this module, and only
+    # the commands that solve need hadm.model.
+    from .model import open_loop_expectation
+
     if not route_policies:
         raise InvalidConfigError("no routes to choose from")
     expectations = {}
